@@ -11,8 +11,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use trace_model::codec::{decode_app_trace, encode_app_trace};
-use trace_reduce::{reduce_app_parallel, segments_of_rank, Method, Reducer};
+use trace_obs::Recorder;
+use trace_reduce::{segments_of_rank, Method, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
+use trace_stream::{reduce_input, TraceInput};
 use trace_wavelet::{average_transform, haar_transform};
 
 fn bench_parallel_vs_sequential(c: &mut Criterion) {
@@ -22,11 +24,12 @@ fn bench_parallel_vs_sequential(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(full.total_events() as u64));
     group.bench_function("sequential", |b| b.iter(|| reducer.reduce_app(&full)));
+    let (app, disabled) = (TraceInput::App(&full), Recorder::disabled());
     for threads in [2usize, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("parallel", threads),
             &threads,
-            |b, &threads| b.iter(|| reduce_app_parallel(&reducer, &full, threads)),
+            |b, &threads| b.iter(|| reduce_input(&reducer, app, threads, &disabled).unwrap()),
         );
     }
     group.finish();

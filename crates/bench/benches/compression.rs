@@ -8,16 +8,15 @@
 //! Size the trace with `TRACE_REPRO_PRESET=paper|small|tiny` (default tiny
 //! so CI stays fast).
 
-use std::io::Cursor;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use trace_bench::preset_from_env;
 use trace_container::{read_app_container, ChunkSpec, Codec};
 use trace_model::codec::encode_app_trace;
-use trace_reduce::{Method, MethodConfig};
+use trace_obs::Recorder;
+use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
-use trace_stream::{reduce_container_file, reduce_container_stream};
+use trace_stream::{reduce_input, TraceInput};
 
 /// The run replayed back-to-back so even the tiny preset streams many more
 /// chunks than the reader ever buffers.
@@ -35,7 +34,9 @@ fn bench_compression(c: &mut Criterion) {
         .expect("writing to a Vec cannot fail");
     let app = read_app_container(&baseline[..]).expect("container decodes");
     let monolithic = encode_app_trace(&app);
-    let config = MethodConfig::with_default_threshold(Method::AvgWave);
+    let reducer = Reducer::new(MethodConfig::with_default_threshold(Method::AvgWave));
+    let reduce =
+        |input, workers| reduce_input(&reducer, input, workers, &Recorder::disabled()).unwrap();
 
     // One compressed container per codec, with the size story printed once.
     println!(
@@ -65,7 +66,7 @@ fn bench_compression(c: &mut Criterion) {
     group.sample_size(10);
     for (codec, bytes) in &containers {
         group.bench_function(BenchmarkId::from_parameter(codec.name()), |b| {
-            b.iter(|| reduce_container_stream(config, Cursor::new(bytes)).unwrap())
+            b.iter(|| reduce(TraceInput::Bytes(bytes), 1))
         });
     }
     group.finish();
@@ -82,7 +83,7 @@ fn bench_compression(c: &mut Criterion) {
     for (codec, bytes) in &containers {
         std::fs::write(&path, bytes).expect("temp file");
         group.bench_function(BenchmarkId::from_parameter(codec.name()), |b| {
-            b.iter(|| reduce_container_file(config, &path, 4).unwrap())
+            b.iter(|| reduce(TraceInput::File(&path), 4))
         });
     }
     group.finish();

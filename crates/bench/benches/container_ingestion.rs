@@ -8,16 +8,15 @@
 //! their rank sections via the index footer.  Size the trace with
 //! `TRACE_REPRO_PRESET=paper|small|tiny` (default tiny so CI stays fast).
 
-use std::io::Cursor;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use trace_bench::preset_from_env;
 use trace_container::{encode_app_container, read_app_container, ChunkSpec};
 use trace_model::codec::{decode_app_trace, encode_app_trace};
+use trace_obs::Recorder;
 use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
-use trace_stream::{reduce_container_file, reduce_container_stream};
+use trace_stream::{reduce_input, TraceInput};
 
 /// The run replayed back-to-back so even the tiny preset streams an order
 /// of magnitude more chunks than the reader ever buffers.
@@ -37,11 +36,14 @@ fn bench_container_ingestion(c: &mut Criterion) {
     let app = read_app_container(&container[..]).expect("container decodes");
     let monolithic = encode_app_trace(&app);
     let config = MethodConfig::with_default_threshold(Method::AvgWave);
+    let reducer = Reducer::new(config);
+    let reduce =
+        |input, workers| reduce_input(&reducer, input, workers, &Recorder::disabled()).unwrap();
 
     // Report the memory story once, through the same run-report formatter
     // the CLI's `--obs` flag uses (a monolithic decode holds the whole v1
     // buffer; the streaming reader only `stream.peak_chunk_bytes`).
-    let reduction = reduce_container_stream(config, Cursor::new(&container)).unwrap();
+    let reduction = reduce(TraceInput::Bytes(&container), 1);
     println!(
         "container {}: v1 {} bytes, v2 {} bytes",
         workload.name(),
@@ -54,7 +56,7 @@ fn bench_container_ingestion(c: &mut Criterion) {
     shard.finish();
     println!("{}", recorder.report().render_text());
 
-    // The sharded driver needs a real file for the seekable index footer.
+    // Index-section workers read the container from a real file.
     let mut path = std::env::temp_dir();
     path.push(format!("trace_bench_container_{}.trc", std::process::id()));
     std::fs::write(&path, &container).expect("temp file");
@@ -64,16 +66,16 @@ fn bench_container_ingestion(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("monolithic_v1"), |b| {
         b.iter(|| {
             let app = decode_app_trace(&monolithic).unwrap();
-            Reducer::new(config).reduce_app(&app)
+            reducer.reduce_app(&app)
         })
     });
     group.bench_function(BenchmarkId::from_parameter("container_stream"), |b| {
-        b.iter(|| reduce_container_stream(config, Cursor::new(&container)).unwrap())
+        b.iter(|| reduce(TraceInput::Bytes(&container), 1))
     });
-    for shards in [2usize, 4] {
+    for workers in [2usize, 4] {
         group.bench_function(
-            BenchmarkId::from_parameter(format!("container_shards_{shards}")),
-            |b| b.iter(|| reduce_container_file(config, &path, shards).unwrap()),
+            BenchmarkId::from_parameter(format!("container_shards_{workers}")),
+            |b| b.iter(|| reduce(TraceInput::File(&path), workers)),
         );
     }
     group.finish();

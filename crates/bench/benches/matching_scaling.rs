@@ -19,8 +19,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use trace_bench::{matching_sweep_scales, preset_from_env, scaled_dynload};
+use trace_obs::Recorder;
 use trace_reduce::{reduce_app_reference, CandidateSearch, Method, MethodConfig, Reducer};
 use trace_sim::SizePreset;
+use trace_stream::{reduce_input, TraceInput};
 
 fn metric_methods() -> impl Iterator<Item = Method> {
     Method::ALL.into_iter().filter(|m| m.is_distance_method())
@@ -45,10 +47,14 @@ fn bench_matching_scaling(c: &mut Criterion) {
         let largest = *scale == *scales.last().unwrap();
         for method in metric_methods() {
             let config = MethodConfig::with_default_threshold(method);
-            let (reduced, indexed) =
-                Reducer::with_search(config, CandidateSearch::Indexed).reduce_app_with_stats(app);
-            let (scan_reduced, linear) = Reducer::with_search(config, CandidateSearch::LinearScan)
-                .reduce_app_with_stats(app);
+            let reduce = |search| {
+                let reducer = Reducer::with_search(config, search);
+                let reduction =
+                    reduce_input(&reducer, TraceInput::App(app), 1, &Recorder::disabled()).unwrap();
+                (reduction.reduced, reduction.stats.matching)
+            };
+            let (reduced, indexed) = reduce(CandidateSearch::Indexed);
+            let (scan_reduced, linear) = reduce(CandidateSearch::LinearScan);
             assert_eq!(
                 reduced, scan_reduced,
                 "{method} x{scale}: indexed must be bit-identical to the linear scan"

@@ -13,8 +13,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use trace_bench::preset_from_env;
+use trace_obs::Recorder;
 use trace_reduce::{reduce_app_reference, Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
+use trace_stream::{reduce_input, TraceInput};
 
 fn bench_similarity_matching(c: &mut Criterion) {
     let preset = preset_from_env(SizePreset::Tiny);
@@ -38,7 +40,9 @@ fn bench_similarity_matching(c: &mut Criterion) {
     for method in Method::ALL {
         let config = MethodConfig::with_default_threshold(method);
         let reducer = Reducer::new(config);
-        let (fast, stats) = reducer.reduce_app_with_stats(&app);
+        let reduction =
+            reduce_input(&reducer, TraceInput::App(&app), 1, &Recorder::disabled()).unwrap();
+        let (fast, stats) = (reduction.reduced, reduction.stats.matching);
         assert_eq!(
             fast,
             reduce_app_reference(config, &app),

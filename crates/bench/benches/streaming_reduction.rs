@@ -3,18 +3,17 @@
 //! Both pipelines start from the same text-format bytes and produce the
 //! same `ReducedAppTrace`; the measurement compares parse-then-reduce (full
 //! `AppTrace` materialized) against the one-pass bounded-memory streaming
-//! reducer, plus the sharded streaming driver.  Size the trace with
+//! reducer.  Size the trace with
 //! `TRACE_REPRO_PRESET=paper|small|tiny` (default tiny so CI stays fast).
-
-use std::io::Cursor;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use trace_bench::preset_from_env;
 use trace_format::parse_app_trace;
+use trace_obs::Recorder;
 use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
-use trace_stream::{reduce_stream, reduce_stream_sharded};
+use trace_stream::{reduce_input, TraceInput};
 
 /// The run replayed back-to-back so even the tiny preset streams an order
 /// of magnitude more segments than the reducer retains.
@@ -31,11 +30,14 @@ fn bench_streaming_reduction(c: &mut Criterion) {
         .write_text_amplified_to(Vec::new(), REPEATS)
         .expect("writing to a Vec cannot fail");
     let config = MethodConfig::with_default_threshold(Method::AvgWave);
+    let reducer = Reducer::new(config);
+    let stream =
+        || reduce_input(&reducer, TraceInput::Bytes(&text), 1, &Recorder::disabled()).unwrap();
 
     // Report the memory and pruning story once, through the same run-report
     // formatter the CLI's `--obs` flag uses (one rendering, no bench-local
     // stat formatting to drift out of sync).
-    let reduction = reduce_stream(config, Cursor::new(text.as_slice())).unwrap();
+    let reduction = stream();
     println!(
         "streaming {}: {} bytes of text",
         workload.name(),
@@ -52,23 +54,10 @@ fn bench_streaming_reduction(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("in_memory"), |b| {
         b.iter(|| {
             let app = parse_app_trace(std::str::from_utf8(&text).unwrap()).unwrap();
-            Reducer::new(config).reduce_app(&app)
+            reducer.reduce_app(&app)
         })
     });
-    group.bench_function(BenchmarkId::from_parameter("stream"), |b| {
-        b.iter(|| reduce_stream(config, Cursor::new(text.as_slice())).unwrap())
-    });
-    for shards in [2usize, 4] {
-        group.bench_function(
-            BenchmarkId::from_parameter(format!("stream_shards_{shards}")),
-            |b| {
-                b.iter(|| {
-                    reduce_stream_sharded(config, shards, |_| Ok(Cursor::new(text.clone())))
-                        .unwrap()
-                })
-            },
-        );
-    }
+    group.bench_function(BenchmarkId::from_parameter("stream"), |b| b.iter(stream));
     group.finish();
 }
 

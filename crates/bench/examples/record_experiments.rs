@@ -5,7 +5,6 @@
 //! `EXPERIMENTS.md`.  Smaller presets (`small`, `tiny`) produce the same
 //! tables at reduced scale for quick sanity checks.
 
-use std::io::Cursor;
 use std::time::Instant;
 
 use trace_bench::{matching_sweep_scales, preset_from_env, scaled_dynload};
@@ -13,13 +12,17 @@ use trace_container::{read_app_container, ChunkSpec, Codec};
 use trace_eval::file_size_percent;
 use trace_format::parse_app_trace;
 use trace_model::codec::{decode_app_trace, encode_app_trace};
+use trace_obs::Recorder;
 use trace_reduce::{
     reduce_app_reference, CandidateSearch, MatchStats, Method, MethodConfig, Reducer,
 };
 use trace_sim::{SizePreset, Workload, WorkloadKind};
-use trace_stream::{
-    reduce_container_file, reduce_container_stream, reduce_stream, reduce_stream_sharded,
-};
+use trace_stream::{reduce_input, StreamReduction, TraceInput};
+
+/// Reduces `input` through the one reduction entry point, recording off.
+fn reduce(reducer: &Reducer, input: TraceInput<'_>, workers: usize) -> StreamReduction {
+    reduce_input(reducer, input, workers, &Recorder::disabled()).expect("generated traces reduce")
+}
 
 fn main() {
     let preset = preset_from_env(SizePreset::Paper);
@@ -87,17 +90,12 @@ fn main() {
     let in_memory_wall = started.elapsed();
 
     let started = Instant::now();
-    let streamed = reduce_stream(config, Cursor::new(text.as_slice())).unwrap();
+    let streamed = reduce(&reducer, TraceInput::Bytes(&text), 1);
     let stream_wall = started.elapsed();
     assert_eq!(
         streamed.reduced, in_memory,
         "streaming must match in-memory"
     );
-
-    let started = Instant::now();
-    let sharded = reduce_stream_sharded(config, 4, |_| Ok(Cursor::new(text.clone()))).unwrap();
-    let sharded_wall = started.elapsed();
-    assert_eq!(sharded.reduced, in_memory, "sharding must match in-memory");
 
     println!(
         "\nstreaming comparison ({} x{repeats}, {} bytes of text, {} segments, avgWave):\n",
@@ -117,11 +115,6 @@ fn main() {
         stream_wall.as_secs_f64() * 1e3,
         streamed.stats.peak_resident_segments
     );
-    println!(
-        "| streaming reduce, 4 shards | {:.1} | {} |",
-        sharded_wall.as_secs_f64() * 1e3,
-        sharded.stats.peak_resident_segments
-    );
 
     // Table 4: text vs binary encodings of the same amplified trace, and
     // the binary ingestion pipelines over the chunked container.
@@ -140,7 +133,7 @@ fn main() {
     let v1_wall = started.elapsed();
 
     let started = Instant::now();
-    let container_streamed = reduce_container_stream(config, Cursor::new(&v2)).unwrap();
+    let container_streamed = reduce(&reducer, TraceInput::Bytes(&v2), 1);
     let container_wall = started.elapsed();
     assert_eq!(
         container_streamed.reduced, v1_reduced,
@@ -148,7 +141,7 @@ fn main() {
     );
 
     let started = Instant::now();
-    let container_sharded = reduce_container_file(config, &container_path, 4).unwrap();
+    let container_sharded = reduce(&reducer, TraceInput::File(&container_path), 4);
     let container_sharded_wall = started.elapsed();
     assert_eq!(
         container_sharded.reduced, v1_reduced,
@@ -226,7 +219,7 @@ fn main() {
         std::fs::write(&container_path, &bytes).expect("temp container file");
 
         let started = Instant::now();
-        let streamed = reduce_container_stream(config, Cursor::new(&bytes)).unwrap();
+        let streamed = reduce(&reducer, TraceInput::Bytes(&bytes), 1);
         let stream_wall = started.elapsed();
         assert_eq!(
             streamed.reduced, expected,
@@ -234,7 +227,7 @@ fn main() {
         );
 
         let started = Instant::now();
-        let sharded = reduce_container_file(config, &container_path, 4).unwrap();
+        let sharded = reduce(&reducer, TraceInput::File(&container_path), 4);
         let sharded_wall = started.elapsed();
         assert_eq!(sharded.reduced, expected);
 
@@ -281,9 +274,9 @@ fn main() {
         let fast: Vec<_> = traces
             .iter()
             .map(|t| {
-                let (reduced, trace_stats) = reducer.reduce_app_with_stats(t);
-                stats.absorb(&trace_stats);
-                reduced
+                let reduction = reduce(&reducer, TraceInput::App(t), 1);
+                stats.absorb(&reduction.stats.matching);
+                reduction.reduced
             })
             .collect();
         let fast_wall = started.elapsed();
@@ -339,10 +332,16 @@ fn main() {
         let app = scaled_dynload(preset, scale);
         for method in Method::ALL.into_iter().filter(|m| m.is_distance_method()) {
             let config = MethodConfig::with_default_threshold(method);
-            let (reduced, indexed) =
-                Reducer::with_search(config, CandidateSearch::Indexed).reduce_app_with_stats(&app);
-            let (scan_reduced, linear) = Reducer::with_search(config, CandidateSearch::LinearScan)
-                .reduce_app_with_stats(&app);
+            let with_search = |search| {
+                let reduction = reduce(
+                    &Reducer::with_search(config, search),
+                    TraceInput::App(&app),
+                    1,
+                );
+                (reduction.reduced, reduction.stats.matching)
+            };
+            let (reduced, indexed) = with_search(CandidateSearch::Indexed);
+            let (scan_reduced, linear) = with_search(CandidateSearch::LinearScan);
             assert_eq!(reduced, scan_reduced, "{method} x{scale}: paths must agree");
             println!(
                 "| {scale} | {} | {} | {:.3} | {} / {} | {:.1}% | {:.1}% |",

@@ -4,7 +4,9 @@ use std::path::Path;
 
 use trace_analysis::diagnose;
 use trace_eval::{evaluate_method, file_size_percent};
-use trace_reduce::{ExtendedConfig, ExtendedMethod, ExtendedReducer, MethodConfig};
+use trace_reduce::{
+    ExtendedConfig, ExtendedMethod, ExtendedReducer, Method, MethodConfig, Reducer,
+};
 use trace_sampling::{sample_app, AdaptiveConfig, SamplingPolicy};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -25,12 +27,14 @@ subcommands:
   list                                   list workloads, methods and sampling policies
   generate   --workload W --out FILE     generate a benchmark/application trace
              [--preset tiny|small|paper] [binary output flags]
-  reduce     --in FILE --out FILE        similarity-based reduction
-             --method M [--threshold T]  [binary output flags]
-             [--stream [--shards N]]     online bounded-memory reduction; input
-                                         format (text, binary v1, container v2)
-                                         is autodetected by magic bytes, and
-                                         v2 containers shard by index footer
+  reduce     --in FILE --out FILE        similarity-based reduction; paper methods
+             --method M [--threshold T]  stream the input (text, binary v1 or
+             [binary output flags]       container v2, detected by magic bytes)
+             [--shards N]                worker count for paper methods, capped
+                                         at the input's partitions: one per rank
+                                         for v1, one per index section for v2
+                                         containers, one for text
+             [--stream]                  accepted for compatibility; no effect
              [--report FILE]             also write a self-contained HTML
                                          analysis report of the reduction
   sample     --in FILE --out FILE        sampling-based reduction
@@ -68,8 +72,9 @@ observability flags (generate, reduce, convert):
                                          --obs-out, text otherwise); `chrome`
                                          is a chrome://tracing event stream
 
-file formats are chosen by extension: .txt/.trctxt = text, anything else = binary
-(binary reads autodetect monolithic v1 and chunked v2 containers by magic)"
+trace inputs are detected by magic bytes (TRC2 container, TRCF monolithic v1,
+anything else text); outputs are chosen by extension: .txt/.trctxt = text,
+anything else = binary"
         .to_string()
 }
 
@@ -103,10 +108,32 @@ fn parse_method(invocation: &Invocation) -> Result<ExtendedConfig, String> {
             known.join(", ")
         )
     })?;
-    let threshold = invocation
-        .get_f64("threshold")?
-        .unwrap_or_else(|| method.default_threshold());
+    let threshold = match invocation.get_f64("threshold")? {
+        Some(threshold) => check_threshold(method, threshold)?,
+        None => method.default_threshold(),
+    };
     Ok(ExtendedConfig::new(method, threshold))
+}
+
+/// Rejects a `--threshold` outside the method's domain: every method needs
+/// a finite, non-negative value, and `iter_k` a whole number of at least 1.
+fn check_threshold(method: ExtendedMethod, threshold: f64) -> Result<f64, String> {
+    let iter_k = method == ExtendedMethod::Paper(Method::IterK);
+    let in_domain = threshold.is_finite()
+        && threshold >= 0.0
+        && (!iter_k || (threshold >= 1.0 && threshold.fract() == 0.0));
+    if in_domain {
+        return Ok(threshold);
+    }
+    let range = if iter_k {
+        "a whole number >= 1"
+    } else {
+        "a finite number >= 0"
+    };
+    Err(format!(
+        "--threshold {threshold} is out of range for {}: expected {range}",
+        method.name()
+    ))
 }
 
 fn parse_policy(invocation: &Invocation) -> Result<SamplingPolicy, String> {
@@ -336,86 +363,76 @@ fn cmd_generate(invocation: &Invocation) -> Result<String, String> {
     Ok(message)
 }
 
-/// `reduce --stream`: one-pass, bounded-memory reduction of a trace file.
-/// Text, monolithic binary v1 and chunked container v2 inputs are
-/// autodetected by magic bytes; v1 has no streamable structure and falls
-/// back to in-memory decoding.
-fn cmd_reduce_stream(invocation: &Invocation) -> Result<String, String> {
+/// `reduce`: paper methods run through the streaming driver on the input
+/// file (format detected by magic bytes, `--shards` workers); extension
+/// methods reduce in memory.  `--stream` is accepted and changes nothing.
+fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     let config = parse_method(invocation)?;
-    let ExtendedMethod::Paper(method) = config.method else {
-        return Err(format!(
-            "--stream supports the nine paper methods; {} needs the in-memory path \
-             (drop --stream)",
-            config.label()
-        ));
-    };
     let input = Path::new(invocation.require("in")?);
     let out = Path::new(invocation.require("out")?);
     let format = parse_binary_format(invocation, out)?;
-    let shards = invocation.get_usize("shards")?.unwrap_or(1);
-    if shards == 0 {
-        return Err("--shards must be at least 1".to_string());
-    }
-
     let obs = parse_obs(invocation)?;
     let recorder = obs_recorder(&obs);
-    let method_config = MethodConfig::new(method, config.threshold);
-    let (result, kind) = trace_stream::reduce_any_file_obs(method_config, input, shards, &recorder)
-        .map_err(|e| format!("{}: {e}", input.display()))?;
-    store_reduced_trace_obs(out, &result.reduced, format, &recorder)?;
-    // The v1 fallback decodes the whole file single-threaded: no sharding
-    // happened and the "peak" is simply every segment, so the message must
-    // not claim otherwise.
-    let v1_fallback = kind == trace_stream::TraceInputKind::BinaryV1;
-    let pipeline = if v1_fallback {
-        "in memory (--shards not applicable)".to_string()
-    } else {
-        format!("over {shards} shard(s)")
+    let (reduced, mut message, original, method) = match config.method {
+        ExtendedMethod::Paper(method) => {
+            let shards = invocation.get_usize("shards")?.unwrap_or(1);
+            if shards == 0 {
+                return Err("--shards must be at least 1".to_string());
+            }
+            let method = MethodConfig::new(method, config.threshold);
+            let reduce = || -> Result<_, trace_stream::StreamError> {
+                let kind = trace_stream::detect_input(input)?;
+                let file = trace_stream::TraceInput::File(input);
+                let result =
+                    trace_stream::reduce_input(&Reducer::new(method), file, shards, &recorder)?;
+                Ok((kind, result))
+            };
+            let (kind, result) = reduce().map_err(|e| format!("{}: {e}", input.display()))?;
+            let message = stream_summary(&result, kind, &config);
+            (result.reduced, message, None, Some(method))
+        }
+        _ => {
+            if invocation.has("shards") {
+                return Err(format!(
+                    "--shards applies to the nine paper methods; {} reduces in memory",
+                    config.label()
+                ));
+            }
+            let app = load_app_trace_obs(input, &recorder)?;
+            // One coarse Match span around the whole extension reduction.
+            let mut shard = recorder.shard();
+            let span = shard.start();
+            let reduced = ExtendedReducer::new(config).reduce_app(&app);
+            shard.end(trace_obs::Stage::Match, span);
+            shard.finish();
+            let message = format!(
+                "reduced {} with {} in memory: {} stored segments for {} executions, \
+                 degree of matching {:.3}",
+                app.name,
+                config.label(),
+                reduced.total_stored(),
+                reduced.total_execs(),
+                reduced.degree_of_matching(),
+            );
+            (reduced, message, Some(app), None)
+        }
     };
-    // With several shards the stat is the sum of per-worker peaks — an
-    // upper bound on the concurrent total, not a single observation.
-    let peak = if !v1_fallback && shards > 1 {
-        format!(
-            "resident segments <= {}",
-            result.stats.peak_resident_segments
-        )
-    } else {
-        format!(
-            "peak resident segments {}",
-            result.stats.peak_resident_segments
-        )
-    };
-    let mut message = format!(
-        "stream-reduced {} ({} input) with {} {pipeline}: {} stored segments for \
-         {} executions, degree of matching {:.3}, {peak} (of {} streamed) -> {}",
-        result.reduced.name,
-        kind.label(),
-        config.label(),
-        result.stats.stored,
-        result.stats.execs,
-        result.reduced.degree_of_matching(),
-        result.stats.segments,
+    let written = store_reduced_trace_obs(out, &reduced, format, &recorder)?;
+    let input_bytes = std::fs::metadata(input)
+        .map_err(|e| format!("cannot read {}: {e}", input.display()))?
+        .len();
+    message.push_str(&format!(
+        ", {written} bytes written for {input_bytes} input bytes ({:.2}%) -> {}",
+        100.0 * written as f64 / input_bytes.max(1) as f64,
         out.display()
-    );
-    if kind == trace_stream::TraceInputKind::ContainerV2 {
-        message.push_str(&format!(
-            ", peak chunk {} bytes",
-            result.stats.peak_chunk_bytes
-        ));
-    }
-    if kind == trace_stream::TraceInputKind::BinaryV1 {
-        message.push_str(
-            "\nnote: monolithic v1 input was decoded in memory; convert with \
-             `--container` for true streaming",
-        );
-    }
+    ));
     if invocation.has("report") {
         let run = obs.as_ref().map(|_| recorder.report());
         write_reduce_report(
             invocation.require("report")?,
-            &result.reduced,
-            None,
-            Some(method_config),
+            &reduced,
+            original.as_ref(),
+            method,
             run,
             &mut message,
         )?;
@@ -424,67 +441,37 @@ fn cmd_reduce_stream(invocation: &Invocation) -> Result<String, String> {
     Ok(message)
 }
 
-fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
-    if invocation.has("stream") {
-        return cmd_reduce_stream(invocation);
-    }
-    if invocation.has("shards") {
-        return Err("--shards only applies to streaming reduction; add --stream".to_string());
-    }
-    let config = parse_method(invocation)?;
-    let input = Path::new(invocation.require("in")?);
-    let out = Path::new(invocation.require("out")?);
-    let format = parse_binary_format(invocation, out)?;
-    let obs = parse_obs(invocation)?;
-    let recorder = obs_recorder(&obs);
-    let app = load_app_trace_obs(input, &recorder)?;
-    // Paper methods reduce through the instrumented core path (identical
-    // output — `ExtendedReducer` delegates Paper methods to `Reducer`);
-    // extension methods record one coarse Match span around the reduction.
-    let reduced = match config.method {
-        ExtendedMethod::Paper(method) => {
-            let (reduced, _stats) =
-                trace_reduce::Reducer::new(MethodConfig::new(method, config.threshold))
-                    .reduce_app_obs(&app, &recorder);
-            reduced
-        }
-        _ => {
-            let mut shard = recorder.shard();
-            let span = shard.start();
-            let reduced = ExtendedReducer::new(config).reduce_app(&app);
-            shard.end(trace_obs::Stage::Match, span);
-            shard.finish();
-            reduced
-        }
+/// The summary of a paper-method reduction: input kind, workers used,
+/// stored segments, executions and resident state.
+fn stream_summary(
+    result: &trace_stream::StreamReduction,
+    kind: trace_stream::TraceInputKind,
+    config: &ExtendedConfig,
+) -> String {
+    let stats = &result.stats;
+    // With several workers the stat is the sum of per-worker peaks — an
+    // upper bound on the concurrent total, not a single observation.
+    let peak = if result.workers > 1 {
+        format!("resident segments <= {}", stats.peak_resident_segments)
+    } else {
+        format!("peak resident segments {}", stats.peak_resident_segments)
     };
-    store_reduced_trace_obs(out, &reduced, format, &recorder)?;
     let mut message = format!(
-        "reduced {} with {}: {} stored segments for {} executions, {:.2}% of the full size, degree of matching {:.3} -> {}",
-        app.name,
+        "stream-reduced {} ({} input) with {} over {} worker(s): {} stored segments for \
+         {} executions, degree of matching {:.3}, {peak} (of {} streamed)",
+        result.reduced.name,
+        kind.label(),
         config.label(),
-        reduced.total_stored(),
-        reduced.total_execs(),
-        file_size_percent(&app, &reduced),
-        reduced.degree_of_matching(),
-        out.display()
+        result.workers,
+        stats.stored,
+        stats.execs,
+        result.reduced.degree_of_matching(),
+        stats.segments,
     );
-    if invocation.has("report") {
-        let method = match config.method {
-            ExtendedMethod::Paper(method) => Some(MethodConfig::new(method, config.threshold)),
-            _ => None,
-        };
-        let run = obs.as_ref().map(|_| recorder.report());
-        write_reduce_report(
-            invocation.require("report")?,
-            &reduced,
-            Some(&app),
-            method,
-            run,
-            &mut message,
-        )?;
+    if kind != trace_stream::TraceInputKind::Text {
+        message.push_str(&format!(", peak chunk {} bytes", stats.peak_chunk_bytes));
     }
-    emit_obs(&obs, &recorder, &mut message)?;
-    Ok(message)
+    message
 }
 
 fn cmd_sample(invocation: &Invocation) -> Result<String, String> {
@@ -575,7 +562,8 @@ fn report_options(invocation: &Invocation) -> Result<trace_report::ReportOptions
         options.method = MethodConfig::with_default_threshold(method);
     }
     if let Some(threshold) = invocation.get_f64("threshold")? {
-        options.method.threshold = threshold;
+        options.method.threshold =
+            check_threshold(ExtendedMethod::Paper(options.method.method), threshold)?;
     }
     if let Some(threshold) = invocation.get_f64("divergence-threshold")? {
         if threshold.is_nan() || threshold <= 0.0 {
@@ -588,6 +576,7 @@ fn report_options(invocation: &Invocation) -> Result<trace_report::ReportOptions
 
 /// `report`: analysis report over an already-reduced trace.
 fn cmd_report(invocation: &Invocation) -> Result<String, String> {
+    let options = report_options(invocation)?;
     let input = Path::new(invocation.require("in")?);
     let reduced = load_reduced_trace(input)?;
     let original = if invocation.has("full") {
@@ -602,7 +591,6 @@ fn cmd_report(invocation: &Invocation) -> Result<String, String> {
     } else {
         None
     };
-    let options = report_options(invocation)?;
     let model = trace_report::build_model(&reduced, original.as_ref(), run.as_ref(), &options);
     let mut message = trace_report::render_text(&model);
     if invocation.has("html") {
@@ -893,7 +881,9 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("stream-reduced"), "{out}");
-        assert!(out.contains("resident segments <="), "{out}");
+        // A text file is one partition: the summary reports the one worker
+        // that ran, not the three requested.
+        assert!(out.contains("over 1 worker(s)"), "{out}");
 
         // The streamed output file is byte-identical to the in-memory one.
         assert_eq!(
@@ -1154,6 +1144,7 @@ mod tests {
                 ("out", "/tmp/y.trc"),
                 ("method", "dtw"),
                 ("stream", ""),
+                ("shards", "2"),
             ],
         ))
         .unwrap_err();
@@ -1172,18 +1163,122 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("--shards"), "{err}");
 
-        // --shards without --stream would otherwise be silently ignored.
+        // Paper methods always run through the driver, so --shards needs
+        // no --stream: this fails on the missing input, not on the flag.
         let err = run(&Invocation::new(
             "reduce",
             &[
-                ("in", "/tmp/x.txt"),
+                ("in", "/tmp/definitely_missing_input.txt"),
                 ("out", "/tmp/y.trc"),
                 ("method", "relDiff"),
                 ("shards", "4"),
             ],
         ))
         .unwrap_err();
-        assert!(err.contains("add --stream"), "{err}");
+        assert!(err.contains("definitely_missing_input.txt"), "{err}");
+    }
+
+    #[test]
+    fn thresholds_outside_the_method_domain_are_rejected() {
+        for (method, threshold, range) in [
+            ("relDiff", "NaN", "finite number >= 0"),
+            ("avgWave", "inf", "finite number >= 0"),
+            ("Manhattan", "-1", "finite number >= 0"),
+            ("dtw", "-0.5", "finite number >= 0"),
+            ("iter_k", "0.5", "whole number >= 1"),
+            ("iter_k", "0", "whole number >= 1"),
+        ] {
+            let err = run(&Invocation::new(
+                "reduce",
+                &[
+                    ("in", "/tmp/x.trc"),
+                    ("out", "/tmp/y.trc"),
+                    ("method", method),
+                    ("threshold", threshold),
+                ],
+            ))
+            .unwrap_err();
+            assert!(err.contains(range), "{method} @ {threshold}: {err}");
+            assert!(err.contains(method), "{method} @ {threshold}: {err}");
+
+            let err = run(&Invocation::new(
+                "evaluate",
+                &[
+                    ("workload", "late_sender"),
+                    ("method", method),
+                    ("threshold", threshold),
+                ],
+            ))
+            .unwrap_err();
+            assert!(
+                err.contains(range),
+                "evaluate {method} @ {threshold}: {err}"
+            );
+        }
+        let err = run(&Invocation::new(
+            "report",
+            &[
+                ("in", "/tmp/x.trc"),
+                ("method", "iter_k"),
+                ("threshold", "2.5"),
+            ],
+        ))
+        .unwrap_err();
+        assert!(err.contains("whole number >= 1"), "{err}");
+        let err = run(&Invocation::new(
+            "report",
+            &[("in", "/tmp/x.trc"), ("threshold", "NaN")],
+        ))
+        .unwrap_err();
+        assert!(err.contains("finite number >= 0"), "{err}");
+    }
+
+    #[test]
+    fn inputs_are_detected_by_content_not_extension() {
+        let container = temp_path("detect_container.txt");
+        let text = temp_path("detect_text.trc");
+        let reduced = temp_path("detect_reduced.trc");
+        let converted = temp_path("detect_converted.trc");
+        // `generate` picks the format by extension, so the mismatched
+        // files are written by hand.
+        let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
+        std::fs::write(
+            &container,
+            trace_container::encode_app_container(&app, ChunkSpec::default()),
+        )
+        .unwrap();
+        std::fs::write(&text, trace_format::write_app_trace(&app)).unwrap();
+
+        for input in [&container, &text] {
+            let out = run(&Invocation::new(
+                "analyze",
+                &[("in", input.to_str().unwrap())],
+            ))
+            .unwrap();
+            assert!(out.contains("diagnosis of late_sender"), "{out}");
+            run(&Invocation::new(
+                "convert",
+                &[
+                    ("in", input.to_str().unwrap()),
+                    ("out", converted.to_str().unwrap()),
+                ],
+            ))
+            .unwrap();
+            assert_eq!(crate::io::load_app_trace(&converted).unwrap(), app);
+            for method in ["avgWave", "dtw"] {
+                let out = run(&Invocation::new(
+                    "reduce",
+                    &[
+                        ("in", input.to_str().unwrap()),
+                        ("out", reduced.to_str().unwrap()),
+                        ("method", method),
+                    ],
+                ))
+                .unwrap();
+                assert!(out.contains(method), "{out}");
+            }
+        }
+        cleanup(&[&container, &text, &reduced, &converted]);
     }
 
     #[test]

@@ -1,21 +1,24 @@
 //! Trace file input/output for the CLI.
 //!
-//! File formats are chosen by extension: `.txt` and `.trctxt` use the
-//! human-readable text format from `trace-format`, everything else uses a
-//! binary codec (the monolithic v1 encoding is the format the paper's
-//! file-size percentages are measured against).  Binary *reads* autodetect
-//! monolithic v1 files and chunked v2 containers by magic; binary *writes*
-//! default to chunked v2 containers compressed with `delta-lz`
-//! ([`BinaryFormat::default`]) with uncompressed chunks available via
-//! `--codec none` and the monolithic v1 path kept reachable via `--v1`.
+//! Reads detect the format from the file's leading bytes: a `TRC2`
+//! container or a monolithic v1 magic (`TRCF` full, `TRCR` reduced)
+//! selects the binary decoder, and
+//! anything else is parsed as the human-readable text format from
+//! `trace-format`.  Writes choose by extension: `.txt` and `.trctxt` write
+//! text, everything else a binary codec — by default chunked v2 containers
+//! compressed with `delta-lz` ([`BinaryFormat::default`]), with
+//! uncompressed chunks available via `--codec none` and the monolithic v1
+//! encoding (the format the paper's file-size percentages are measured
+//! against) kept reachable via `--v1`.
 
 use std::fs;
 use std::path::Path;
 
 use trace_container::{decode_app_any, decode_reduced_any, ChunkSpec};
 use trace_format::{parse_app_trace, parse_reduced_trace, write_app_trace, write_reduced_trace};
-use trace_model::codec::{encode_app_trace, encode_reduced_trace};
+use trace_model::codec::{encode_app_trace, encode_reduced_trace, REDUCED_TRACE_MAGIC};
 use trace_model::{AppTrace, ReducedAppTrace};
+use trace_stream::TraceInputKind;
 
 /// Which binary encoding a write produces (text paths ignore this).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,7 +47,7 @@ pub fn is_text_path(path: &Path) -> bool {
     )
 }
 
-/// Loads a full application trace from `path` (text or binary by extension).
+/// Loads a full application trace from `path` (text or binary by magic).
 pub fn load_app_trace(path: &Path) -> Result<AppTrace, String> {
     load_app_trace_obs(path, &trace_obs::Recorder::disabled())
 }
@@ -55,14 +58,12 @@ pub fn load_app_trace(path: &Path) -> Result<AppTrace, String> {
 pub fn load_app_trace_obs(path: &Path, recorder: &trace_obs::Recorder) -> Result<AppTrace, String> {
     let mut obs = recorder.shard();
     let span = obs.start();
-    let result = if is_text_path(path) {
-        let text =
-            fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        parse_app_trace(&text).map_err(|e| format!("{}: {e}", path.display()))
-    } else {
-        let bytes = fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        decode_app_any(&bytes).map_err(|e| format!("{}: {e}", path.display()))
-    };
+    let result = load(
+        path,
+        |bytes| TraceInputKind::detect(bytes) != TraceInputKind::Text,
+        parse_app_trace,
+        decode_app_any,
+    );
     obs.end(trace_obs::Stage::Parse, span);
     obs.finish();
     result
@@ -102,16 +103,37 @@ pub fn store_app_trace_obs(
     Ok(bytes.len())
 }
 
-/// Loads a reduced trace from `path` (text or binary by extension).
+/// Loads a reduced trace from `path` (text or binary by magic; the
+/// reduced v1 encoding has its own `TRCR` magic).
 pub fn load_reduced_trace(path: &Path) -> Result<ReducedAppTrace, String> {
-    if is_text_path(path) {
-        let text =
-            fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        parse_reduced_trace(&text).map_err(|e| format!("{}: {e}", path.display()))
+    load(
+        path,
+        |bytes| {
+            TraceInputKind::detect(bytes) != TraceInputKind::Text
+                || bytes.starts_with(&REDUCED_TRACE_MAGIC)
+        },
+        parse_reduced_trace,
+        decode_reduced_any,
+    )
+}
+
+/// Reads `path` whole and decodes it with `binary` when `is_binary` sees a
+/// binary magic in its leading bytes, else parses it as text.
+fn load<T, E: std::fmt::Display, F: std::fmt::Display>(
+    path: &Path,
+    is_binary: impl Fn(&[u8]) -> bool,
+    text: impl Fn(&str) -> Result<T, E>,
+    binary: impl Fn(&[u8]) -> Result<T, F>,
+) -> Result<T, String> {
+    let bytes = fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let decoded = if is_binary(&bytes) {
+        binary(&bytes).map_err(|e| e.to_string())
     } else {
-        let bytes = fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        decode_reduced_any(&bytes).map_err(|e| format!("{}: {e}", path.display()))
-    }
+        std::str::from_utf8(&bytes)
+            .map_err(|e| format!("neither a binary trace nor UTF-8 text: {e}"))
+            .and_then(|source| text(source).map_err(|e| e.to_string()))
+    };
+    decoded.map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Stores a reduced trace to `path`: text by extension, otherwise the

@@ -6,8 +6,8 @@
 //! without spawning processes:
 //!
 //! * [`cli`] — the tiny argument parser (`subcommand --flag value …`).
-//! * [`io`] — load/store helpers that pick the binary codec or the text
-//!   format from the file extension.
+//! * [`io`] — load/store helpers: reads detect the format by magic bytes,
+//!   writes pick the binary codec or the text format by file extension.
 //! * [`commands`] — the subcommand implementations: `list`, `generate`,
 //!   `reduce`, `sample`, `reconstruct`, `convert`, `analyze`, `evaluate`.
 

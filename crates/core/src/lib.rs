@@ -27,9 +27,13 @@
 //!   order so first-match semantics are preserved bit-identically
 //!   (`docs/index-design.md`; the linear scan survives as
 //!   [`CandidateSearch::LinearScan`]).
-//! * [`parallel`] — per-rank parallel reduction on top of crossbeam scoped
-//!   threads (each rank's trace is reduced independently, exactly as the
-//!   paper's intra-process technique allows).
+//! * [`source`] / [`parallel`] — the reduction driver: one record →
+//!   segment → match loop ([`SectionReducer`]) over any [`AppItemSource`],
+//!   run over independent rank-section partitions on crossbeam scoped
+//!   threads ([`reduce_sections`]; each rank is reduced independently,
+//!   exactly as the paper's intra-process technique allows).  The
+//!   `trace_stream` crate's `reduce_input` picks the partitions for each
+//!   input format.
 //! * [`dtw`] / [`extended`] — the extended method catalogue (dynamic time
 //!   warping, cosine, normalized Euclidean, CDF 9/7 wavelet, delta-time
 //!   histograms) that the paper's conclusion lists as future work, plugged
@@ -66,6 +70,7 @@ pub mod metric;
 pub mod parallel;
 pub mod reducer;
 pub mod segmenter;
+pub mod source;
 
 pub use dtw::{dtw_distance, dtw_within, normalized_dtw_distance};
 pub use extended::{segments_match_extended, ExtendedConfig, ExtendedMethod, ExtendedReducer};
@@ -73,11 +78,10 @@ pub use features::{segments_match_cached, MatchScratch, MatchStats, SegmentFeatu
 pub use index::CandidateSearch;
 pub use method::{Method, MethodConfig};
 pub use metric::segments_match;
-pub use parallel::{
-    reduce_app_parallel, reduce_app_parallel_obs, reduce_app_parallel_with_stats, scoped_workers,
-};
+pub use parallel::{reduce_sections, SectionReducer, StreamStats};
 pub use reducer::{
     reduce_app_reference, reduce_app_with_predicate, reduce_rank_reference,
     reduce_rank_with_predicate, OnlineRankReducer, RankReduction, Reducer,
 };
 pub use segmenter::{segments_of_rank, OnlineSegmenter, SegmentationStats};
+pub use source::{AppItem, AppItemSource, RankItems};

@@ -39,7 +39,9 @@ use crate::features::{
 use crate::index::{CandidateIndex, CandidateSearch};
 use crate::method::{Method, MethodConfig};
 use crate::metric::segments_match;
+use crate::parallel::SectionReducer;
 use crate::segmenter::{segments_of_rank_with_stats, SegmentationStats};
+use crate::source::RankItems;
 
 /// The result of reducing one rank's trace.
 #[derive(Clone, Debug, PartialEq)]
@@ -112,13 +114,12 @@ struct Bucket {
 
 /// Online (segment-at-a-time) form of the stored-segments algorithm.
 ///
-/// [`Reducer::reduce_rank`] and the streaming reduction path (the
-/// `trace_stream` crate) both drive this state machine, so a rank is
-/// reduced identically whether its segments arrive from an in-memory
-/// [`RankTrace`] or one at a time from a file.  The state held between
-/// segments is exactly the reduced trace under construction (stored
-/// representatives plus the execution log) and the per-key match buckets —
-/// never the full segment stream.
+/// The reduction driver ([`crate::parallel::SectionReducer`]) drives this
+/// state machine for every input, so a rank is reduced identically whether
+/// its segments arrive from an in-memory [`RankTrace`] or one at a time
+/// from a file.  The state held between segments is exactly the reduced
+/// trace under construction (stored representatives plus the execution
+/// log) and the per-key match buckets — never the full segment stream.
 #[derive(Clone, Debug)]
 pub struct OnlineRankReducer {
     config: MethodConfig,
@@ -147,10 +148,10 @@ impl OnlineRankReducer {
     }
 
     /// Creates an empty reduction state reusing the buffers of `scratch`
-    /// (its counters are reset).  Drivers that reduce many ranks — the
-    /// parallel in-memory reducer, the streaming loop — pass the scratch
-    /// from rank to rank via [`OnlineRankReducer::finish_with_scratch`] so
-    /// feature buffers are allocated once per worker.
+    /// (its counters are reset).  Loops that reduce many ranks pass the
+    /// scratch from rank to rank via
+    /// [`OnlineRankReducer::finish_with_scratch`] so feature buffers are
+    /// allocated once per worker.
     pub fn with_scratch(
         config: MethodConfig,
         rank: trace_model::Rank,
@@ -361,88 +362,29 @@ impl Reducer {
 
     /// Reduces a single rank trace.
     pub fn reduce_rank(&self, trace: &RankTrace) -> RankReduction {
-        let mut scratch = MatchScratch::new();
-        self.reduce_rank_with_scratch(trace, &mut scratch)
-    }
-
-    /// Reduces a single rank trace reusing the caller's [`MatchScratch`]
-    /// (buffers are threaded through; the counters in the returned
-    /// [`RankReduction::matching`] cover only this rank).
-    pub fn reduce_rank_with_scratch(
-        &self,
-        trace: &RankTrace,
-        scratch: &mut MatchScratch,
-    ) -> RankReduction {
-        self.reduce_rank_with_scratch_obs(trace, scratch, &mut trace_obs::ObsShard::disabled())
-    }
-
-    /// Like [`Reducer::reduce_rank_with_scratch`], recording per-rank
-    /// [`trace_obs::Stage::Segment`] and [`trace_obs::Stage::Match`] spans
-    /// (two clock reads per rank; nothing per segment).  With a disabled
-    /// shard the reduction is identical — recording observes, never steers.
-    pub fn reduce_rank_with_scratch_obs(
-        &self,
-        trace: &RankTrace,
-        scratch: &mut MatchScratch,
-        obs: &mut trace_obs::ObsShard,
-    ) -> RankReduction {
-        let span = obs.start();
-        let (segments, segmentation) = segments_of_rank_with_stats(trace);
-        obs.end(trace_obs::Stage::Segment, span);
-        let mut online = OnlineRankReducer::with_scratch_and_search(
-            self.config,
-            trace.rank,
-            std::mem::take(scratch),
-            self.search,
-        );
-        let span = obs.start();
-        for segment in segments {
-            online.push_segment_obs(segment, obs);
-        }
-        obs.end(trace_obs::Stage::Match, span);
-        let matching = online.match_stats();
-        let (reduced, returned) = online.finish_with_scratch();
-        *scratch = returned;
-        RankReduction {
-            reduced,
-            segmentation,
-            matching,
-        }
+        let mut ranks = self.reduce_ranks(std::slice::from_ref(trace));
+        ranks.pop().expect("one rank in, one rank out")
     }
 
     /// Reduces every rank of an application trace sequentially.
     pub fn reduce_app(&self, app: &AppTrace) -> ReducedAppTrace {
-        self.reduce_app_with_stats(app).0
-    }
-
-    /// Like [`Reducer::reduce_app`], but also returns the aggregated
-    /// similarity-matching counters — the exact same reduction loop, so
-    /// benches and recorders can report pruning rates without a second
-    /// pass.
-    pub fn reduce_app_with_stats(&self, app: &AppTrace) -> (ReducedAppTrace, MatchStats) {
-        self.reduce_app_obs(app, &trace_obs::Recorder::disabled())
-    }
-
-    /// Like [`Reducer::reduce_app_with_stats`], recording per-rank stage
-    /// spans and draining the matching counters into `recorder`.  With a
-    /// disabled recorder this is exactly [`Reducer::reduce_app_with_stats`].
-    pub fn reduce_app_obs(
-        &self,
-        app: &AppTrace,
-        recorder: &trace_obs::Recorder,
-    ) -> (ReducedAppTrace, MatchStats) {
-        let mut obs = recorder.shard();
-        let mut scratch = MatchScratch::new();
-        let mut stats = MatchStats::default();
         let mut reduced = ReducedAppTrace::for_app(app);
-        for rank in &app.ranks {
-            let reduction = self.reduce_rank_with_scratch_obs(rank, &mut scratch, &mut obs);
-            stats.absorb(&reduction.matching);
-            reduced.ranks.push(reduction.reduced);
+        reduced.ranks = self
+            .reduce_ranks(&app.ranks)
+            .into_iter()
+            .map(|rank| rank.reduced)
+            .collect();
+        reduced
+    }
+
+    /// Runs the driver's record → segment → match loop over in-memory
+    /// ranks on the calling thread.
+    fn reduce_ranks(&self, ranks: &[RankTrace]) -> Vec<RankReduction> {
+        let mut worker = SectionReducer::new(*self, trace_obs::ObsShard::disabled());
+        match worker.reduce(&mut RankItems::new(ranks)) {
+            Ok(reductions) => reductions,
+            Err(never) => match never {},
         }
-        stats.record_into(&mut obs);
-        obs.finish();
-        (reduced, stats)
     }
 }
 

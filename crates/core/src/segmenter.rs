@@ -24,8 +24,8 @@ pub struct SegmentationStats {
 
 /// Online (record-at-a-time) segmenter.
 ///
-/// The batch helpers below and the streaming reduction path (the
-/// `trace_stream` crate) both drive this state machine, so a record stream
+/// The batch helpers below and the reduction driver
+/// ([`crate::parallel::SectionReducer`]) both drive this state machine, so a record stream
 /// is segmented identically whether it arrives from an in-memory
 /// [`RankTrace`] or one line at a time from a file.  At most one segment is
 /// in flight per segmenter — the bounded-memory guarantee the streaming

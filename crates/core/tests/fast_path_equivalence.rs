@@ -12,12 +12,14 @@
 
 use proptest::prelude::*;
 
+use trace_obs::Recorder;
 use trace_reduce::{
     reduce_app_reference, reduce_app_with_predicate, reduce_rank_reference, segments_match,
     ExtendedConfig, ExtendedMethod, ExtendedReducer, Method, MethodConfig, Reducer,
 };
 use trace_sim::specgen::{trace_from_specs, SegmentSpec};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
+use trace_stream::{reduce_input, TraceInput};
 
 /// Every method at its default threshold plus its full paper grid.
 fn all_configs() -> Vec<MethodConfig> {
@@ -56,9 +58,16 @@ fn parallel_driver_matches_the_reference_path() {
     for method in Method::ALL {
         let config = MethodConfig::with_default_threshold(method);
         let reference = reduce_app_reference(config, &app);
-        for threads in [2, 8] {
-            let parallel = trace_reduce::reduce_app_parallel(&Reducer::new(config), &app, threads);
-            assert_eq!(parallel, reference, "{method} with {threads} threads");
+        for workers in [2, 8] {
+            let parallel = reduce_input(
+                &Reducer::new(config),
+                TraceInput::App(&app),
+                workers,
+                &Recorder::disabled(),
+            )
+            .unwrap()
+            .reduced;
+            assert_eq!(parallel, reference, "{method} with {workers} workers");
         }
     }
 }

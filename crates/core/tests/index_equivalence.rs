@@ -25,12 +25,13 @@
 use proptest::prelude::*;
 
 use trace_model::{AppTrace, Event, RegionId, Time};
+use trace_obs::Recorder;
 use trace_reduce::{
-    reduce_app_parallel_with_stats, reduce_app_reference, reduce_rank_reference, CandidateSearch,
-    Method, MethodConfig, Reducer,
+    reduce_app_reference, reduce_rank_reference, CandidateSearch, Method, MethodConfig, Reducer,
 };
 use trace_sim::specgen::{trace_from_specs, SegmentSpec};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
+use trace_stream::{reduce_input, TraceInput};
 
 /// Every method at its default threshold plus its full paper grid.
 fn all_configs() -> Vec<MethodConfig> {
@@ -127,14 +128,24 @@ fn parallel_driver_with_index_matches_reference_and_aggregates_counters() {
         let config = MethodConfig::with_default_threshold(method);
         let reducer = Reducer::with_search(config, CandidateSearch::Indexed);
         let reference = reduce_app_reference(config, &app);
-        let (sequential, seq_stats) = reducer.reduce_app_with_stats(&app);
+        let reduce = |workers| {
+            let reduction = reduce_input(
+                &reducer,
+                TraceInput::App(&app),
+                workers,
+                &Recorder::disabled(),
+            )
+            .unwrap();
+            (reduction.reduced, reduction.stats.matching)
+        };
+        let (sequential, seq_stats) = reduce(1);
         assert_eq!(sequential, reference, "{method} sequential");
-        for threads in [2, 8] {
-            let (parallel, stats) = reduce_app_parallel_with_stats(&reducer, &app, threads);
-            assert_eq!(parallel, reference, "{method} with {threads} threads");
+        for workers in [2, 8] {
+            let (parallel, stats) = reduce(workers);
+            assert_eq!(parallel, reference, "{method} with {workers} workers");
             // Rank counters are deterministic and rank-independent, so the
             // parallel aggregate equals the sequential aggregate exactly.
-            assert_eq!(stats, seq_stats, "{method} stats with {threads} threads");
+            assert_eq!(stats, seq_stats, "{method} stats with {workers} workers");
         }
     }
 }

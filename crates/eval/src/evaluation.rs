@@ -1,7 +1,9 @@
 //! Evaluating one (workload, method, threshold) combination.
 
 use trace_model::AppTrace;
-use trace_reduce::{reduce_app_parallel, MethodConfig, Reducer};
+use trace_obs::Recorder;
+use trace_reduce::{MethodConfig, Reducer};
+use trace_stream::{reduce_input, TraceInput};
 
 use crate::criteria::{
     approximation_distance_us, encoded_sizes, file_size_percent, trends_retained,
@@ -47,7 +49,14 @@ fn reduction_threads() -> usize {
 /// computing all four criteria of Section 4.3.
 pub fn evaluate_method(full: &AppTrace, config: MethodConfig) -> MethodEvaluation {
     let reducer = Reducer::new(config);
-    let reduced = reduce_app_parallel(&reducer, full, reduction_threads());
+    let reduced = reduce_input(
+        &reducer,
+        TraceInput::App(full),
+        reduction_threads(),
+        &Recorder::disabled(),
+    )
+    .expect("an in-memory trace has nothing to decode")
+    .reduced;
     let approx = reduced.reconstruct();
     let (full_bytes, reduced_bytes) = encoded_sizes(full, &reduced);
     let trend = trends_retained(full, &approx);

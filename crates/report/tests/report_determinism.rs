@@ -1,15 +1,15 @@
 //! The report sinks promise byte-identical output: across repeated runs
-//! on the same input, and across every reduction driver (sequential,
-//! parallel, streaming, sharded-streaming) — the drivers produce equal
+//! on the same input, and across inputs and worker counts of the one
+//! reduction entry point (in memory on one and three workers, text on one
+//! and three workers) — the reductions are equal
 //! reduced traces, and the sinks must not reintroduce nondeterminism on
 //! top of them.
 
-use std::io::Cursor;
-
-use trace_reduce::{reduce_app_parallel, Method, MethodConfig, Reducer};
+use trace_obs::Recorder;
+use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_report::{build_model, render_chrome_trace, render_html, render_text, ReportOptions};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
-use trace_stream::{reduce_stream, reduce_stream_sharded};
+use trace_stream::{reduce_input, TraceInput};
 
 fn options() -> ReportOptions {
     ReportOptions {
@@ -37,14 +37,16 @@ fn sinks_are_byte_identical_across_all_four_drivers() {
     let config = MethodConfig::with_default_threshold(Method::RelDiff);
     let text = trace_format::write_app_trace(&app);
 
-    let sequential = Reducer::new(config).reduce_app(&app);
-    let parallel = reduce_app_parallel(&Reducer::new(config), &app, 3);
-    let streamed = reduce_stream(config, text.as_bytes())
-        .expect("stream reduce")
-        .reduced;
-    let sharded = reduce_stream_sharded(config, 3, |_| Ok(Cursor::new(text.clone().into_bytes())))
-        .expect("sharded reduce")
-        .reduced;
+    let reducer = Reducer::new(config);
+    let reduce = |input, workers| {
+        reduce_input(&reducer, input, workers, &Recorder::disabled())
+            .expect("reduce")
+            .reduced
+    };
+    let sequential = reducer.reduce_app(&app);
+    let parallel = reduce(TraceInput::App(&app), 3);
+    let streamed = reduce(TraceInput::Bytes(text.as_bytes()), 1);
+    let sharded = reduce(TraceInput::Bytes(text.as_bytes()), 3);
 
     let drivers = [
         ("sequential", &sequential),

@@ -1,32 +1,24 @@
-//! Streaming and index-sharded reduction of chunked binary containers.
+//! Chunked binary containers as a reduction input, and input-format
+//! detection.
 //!
 //! [`ContainerSource`] adapts `trace_container::ChunkReader` to the
-//! [`AppItemSource`] trait, so the same online reduction loop that drives
-//! the text parser consumes `.trc` v2 files with O(one chunk) resident
-//! payload.  [`reduce_container_file`] goes one step further than the text
-//! sharding can: the container's index footer maps every rank section to a
-//! byte offset, so workers *seek* straight to their sections instead of
-//! scanning and skipping the whole file — cross-shard file-level
-//! parallelism with no redundant reads.  [`reduce_any_file`] autodetects
-//! text, monolithic v1 and chunked v2 inputs by their magic bytes.
+//! [`AppItemSource`] trait, so the same reduction loop that drives the text
+//! parser consumes `.trc` v2 files with O(one chunk) resident payload —
+//! either the whole stream, or one rank section located through the
+//! container's index footer ([`ContainerSource::section`]), which is what
+//! lets several workers read one container without redundant reads.
+//! [`TraceInputKind::detect`] tells text, monolithic v1 and chunked v2
+//! inputs apart by their magic bytes.
 
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::io::Read;
 use std::path::Path;
 
-use parking_lot::Mutex;
-use trace_container::{
-    read_index, ChunkReader, ContainerError, ContainerItem, PayloadKind, Preamble, CONTAINER_MAGIC,
-};
+use trace_container::{ChunkReader, ContainerItem, Preamble, CONTAINER_MAGIC};
 use trace_model::codec::APP_TRACE_MAGIC;
-use trace_model::{Rank, ReducedAppTrace, ReducedRankTrace};
-use trace_reduce::{scoped_workers, MethodConfig, Reducer};
+use trace_reduce::{AppItem, AppItemSource};
 
 use crate::error::StreamError;
-use crate::parser::AppItem;
-use crate::reduce::{reduce_selected_ranks_obs, StreamReduction, StreamStats};
-use crate::shard::reduce_trace_file_obs;
-use crate::source::AppItemSource;
 
 /// [`AppItemSource`] over a chunked binary container.
 pub struct ContainerSource<R> {
@@ -53,11 +45,6 @@ impl<R: Read> ContainerSource<R> {
         self.inner.preamble()
     }
 
-    /// Largest chunk payload buffered so far, in bytes.
-    pub fn peak_chunk_bytes(&self) -> usize {
-        self.inner.peak_chunk_bytes()
-    }
-
     /// Attaches an observability shard to the underlying chunk reader, so
     /// chunk reads record `chunk_io`/`compress` spans and counters.
     pub fn set_obs(&mut self, obs: trace_obs::ObsShard) {
@@ -66,6 +53,8 @@ impl<R: Read> ContainerSource<R> {
 }
 
 impl<R: Read> AppItemSource for ContainerSource<R> {
+    type Error = StreamError;
+
     fn next_item(&mut self) -> Result<Option<AppItem>, StreamError> {
         Ok(self.inner.next_item()?.map(|item| match item {
             ContainerItem::RankStart(rank) => AppItem::RankStart(rank),
@@ -74,179 +63,9 @@ impl<R: Read> AppItemSource for ContainerSource<R> {
         }))
     }
 
-    fn skip_current_rank(&mut self) -> Result<Rank, StreamError> {
-        Ok(self.inner.skip_current_rank()?)
+    fn peak_chunk_bytes(&self) -> usize {
+        self.inner.peak_chunk_bytes()
     }
-}
-
-/// Reduces an app-trace container stream in one pass with bounded memory:
-/// the resident state is the stored representatives, at most one in-flight
-/// segment, and one decoded chunk payload.
-pub fn reduce_container_stream<R: Read>(
-    config: MethodConfig,
-    reader: R,
-) -> Result<StreamReduction, StreamError> {
-    reduce_container_stream_obs(config, reader, &trace_obs::Recorder::disabled())
-}
-
-/// [`reduce_container_stream`] with observability: the chunk reader records
-/// per-chunk `chunk_io`/`compress` spans, the reduction loop records
-/// per-rank `rank` spans, and the final [`StreamStats`] drain into
-/// `recorder`.  With a disabled recorder this is exactly
-/// [`reduce_container_stream`].
-pub fn reduce_container_stream_obs<R: Read>(
-    config: MethodConfig,
-    reader: R,
-    recorder: &trace_obs::Recorder,
-) -> Result<StreamReduction, StreamError> {
-    let mut obs = recorder.shard();
-    let mut source = ContainerSource::new(reader)?;
-    source.set_obs(recorder.shard());
-    let Some(preamble) = source.preamble().cloned() else {
-        return Err(StreamError::Container(ContainerError::UnexpectedChunk {
-            expected: "a PREAMBLE chunk",
-            found: "no preamble before the first rank section",
-        }));
-    };
-    let (ranks, mut stats) = reduce_selected_ranks_obs(config, &mut source, |_| true, &mut obs)?;
-    stats.peak_chunk_bytes = source.peak_chunk_bytes();
-    stats.record_into(&mut obs);
-    obs.finish();
-    Ok(StreamReduction {
-        reduced: ReducedAppTrace {
-            name: preamble.name,
-            regions: preamble.regions,
-            contexts: preamble.contexts,
-            ranks: ranks.into_iter().map(|(_, rank)| rank).collect(),
-        },
-        stats,
-    })
-}
-
-/// Reduces a container file with `shards` workers, each seeking directly
-/// to the rank sections assigned to it (`section index % shards`) via the
-/// index footer.  Output is bit-identical to the sequential
-/// [`reduce_container_stream`]; only wall-clock time changes.
-pub fn reduce_container_file(
-    config: MethodConfig,
-    path: impl AsRef<Path>,
-    shards: usize,
-) -> Result<StreamReduction, StreamError> {
-    reduce_container_file_obs(config, path, shards, &trace_obs::Recorder::disabled())
-}
-
-/// [`reduce_container_file`] with observability: every worker's chunk
-/// reader and reduction loop record into their own recorder shards, and
-/// the merged [`StreamStats`] drain into `recorder` once.  With a disabled
-/// recorder this is exactly [`reduce_container_file`].
-pub fn reduce_container_file_obs(
-    config: MethodConfig,
-    path: impl AsRef<Path>,
-    shards: usize,
-    recorder: &trace_obs::Recorder,
-) -> Result<StreamReduction, StreamError> {
-    let path = path.as_ref();
-    if shards <= 1 {
-        return reduce_container_stream_obs(config, BufReader::new(File::open(path)?), recorder);
-    }
-
-    let mut file = File::open(path)?;
-    let index = read_index(&mut file)?;
-    if index.kind == PayloadKind::Reduced {
-        return Err(StreamError::Container(ContainerError::UnexpectedChunk {
-            expected: "an app-trace container",
-            found: "a reduced-trace container",
-        }));
-    }
-    file.seek(SeekFrom::Start(0))?;
-    let preamble = {
-        let source = ContainerSource::new(BufReader::new(file))?;
-        let Some(preamble) = source.preamble().cloned() else {
-            return Err(StreamError::Container(ContainerError::UnexpectedChunk {
-                expected: "a PREAMBLE chunk",
-                found: "no preamble before the first rank section",
-            }));
-        };
-        preamble
-    };
-    // The sequential reader validates this when it reaches the INDEX
-    // chunk; the sharded path never scans that far, so a short index must
-    // be rejected here or ranks would silently drop from the output.
-    if index.sections.len() != preamble.declared_ranks {
-        return Err(StreamError::Container(ContainerError::CountMismatch {
-            what: "rank sections",
-            declared: preamble.declared_ranks as u64,
-            found: index.sections.len() as u64,
-        }));
-    }
-
-    let workers = shards.min(index.sections.len()).max(1);
-    type WorkerOut = (Vec<(usize, ReducedRankTrace)>, StreamStats);
-    let slots: Vec<Mutex<Option<Result<WorkerOut, StreamError>>>> =
-        (0..workers).map(|_| Mutex::new(None)).collect();
-
-    scoped_workers(workers, |worker| {
-        let result = (|| {
-            let file = File::open(path)?;
-            let mut obs = recorder.shard();
-            let mut out: Vec<(usize, ReducedRankTrace)> = Vec::new();
-            let mut stats = StreamStats::default();
-            for (section_index, entry) in index
-                .sections
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % workers == worker)
-            {
-                // `&File` implements `Read + Seek`, so every section gets a
-                // fresh buffered cursor over the worker's single handle.
-                let mut handle = &file;
-                handle.seek(SeekFrom::Start(entry.offset))?;
-                let mut source = ContainerSource::section(BufReader::new(handle), entry.offset);
-                source.set_obs(recorder.shard());
-                let (ranks, mut section_stats) =
-                    reduce_selected_ranks_obs(config, &mut source, |_| true, &mut obs)?;
-                section_stats.peak_chunk_bytes = source.peak_chunk_bytes();
-                stats.absorb(&section_stats);
-                out.extend(ranks.into_iter().map(|(_, rank)| (section_index, rank)));
-            }
-            obs.finish();
-            Ok((out, stats))
-        })();
-        // lint:allow(indexing) -- worker < workers == slots.len() by construction
-        *slots[worker].lock() = Some(result);
-    });
-
-    let mut all: Vec<(usize, ReducedRankTrace)> = Vec::new();
-    let mut stats = StreamStats::default();
-    for slot in slots {
-        // `scoped_workers` joins every worker before returning and each
-        // worker unconditionally fills its slot; an empty slot means a
-        // worker died, which surfaces as an error rather than a panic.
-        let (ranks, worker_stats) = slot.into_inner().unwrap_or_else(|| {
-            Err(std::io::Error::other("reduction worker left no result").into())
-        })?;
-        all.extend(ranks);
-        stats.absorb(&worker_stats);
-    }
-    all.sort_by_key(|(index, _)| *index);
-    debug_assert!(
-        all.iter().enumerate().all(|(i, (index, _))| i == *index),
-        "every indexed section is reduced exactly once"
-    );
-
-    let mut obs = recorder.shard();
-    stats.record_into(&mut obs);
-    obs.finish();
-
-    Ok(StreamReduction {
-        reduced: ReducedAppTrace {
-            name: preamble.name,
-            regions: preamble.regions,
-            contexts: preamble.contexts,
-            ranks: all.into_iter().map(|(_, rank)| rank).collect(),
-        },
-        stats,
-    })
 }
 
 /// What kind of trace input a file holds, detected from its magic bytes.
@@ -270,101 +89,34 @@ impl TraceInputKind {
             TraceInputKind::ContainerV2 => "container v2 (chunked)",
         }
     }
+
+    /// Detects the input kind from the leading bytes of a trace.  Anything
+    /// that is not a known binary magic is treated as text, so text parse
+    /// errors keep their precise line-level diagnostics.
+    pub fn detect(leading: &[u8]) -> TraceInputKind {
+        match leading.get(..4) {
+            Some(magic) if magic == CONTAINER_MAGIC => TraceInputKind::ContainerV2,
+            Some(magic) if magic == APP_TRACE_MAGIC => TraceInputKind::BinaryV1,
+            _ => TraceInputKind::Text,
+        }
+    }
 }
 
-/// Detects the input kind from the first four bytes of `path`.  Anything
-/// that is not a known binary magic is treated as text, so text parse
-/// errors keep their precise line-level diagnostics.
+/// Detects the input kind from the first four bytes of `path`.
 pub fn detect_input(path: impl AsRef<Path>) -> Result<TraceInputKind, StreamError> {
     let file = File::open(path.as_ref())?;
     let mut magic = Vec::with_capacity(4);
     file.take(4).read_to_end(&mut magic)?;
-    Ok(match magic.as_slice() {
-        m if m == CONTAINER_MAGIC => TraceInputKind::ContainerV2,
-        m if m == APP_TRACE_MAGIC => TraceInputKind::BinaryV1,
-        _ => TraceInputKind::Text,
-    })
-}
-
-/// Reduces a trace file of any supported format, autodetected by magic:
-/// text and v2 containers stream with bounded memory (`shards` workers);
-/// monolithic v1 files fall back to decoding the whole buffer and reducing
-/// in memory, with stats reflecting that everything was resident.
-pub fn reduce_any_file(
-    config: MethodConfig,
-    path: impl AsRef<Path>,
-    shards: usize,
-) -> Result<(StreamReduction, TraceInputKind), StreamError> {
-    reduce_any_file_obs(config, path, shards, &trace_obs::Recorder::disabled())
-}
-
-/// [`reduce_any_file`] with observability, threading `recorder` through
-/// whichever driver the magic bytes select.  With a disabled recorder this
-/// is exactly [`reduce_any_file`] — same dispatch, bit-identical output.
-pub fn reduce_any_file_obs(
-    config: MethodConfig,
-    path: impl AsRef<Path>,
-    shards: usize,
-    recorder: &trace_obs::Recorder,
-) -> Result<(StreamReduction, TraceInputKind), StreamError> {
-    let path = path.as_ref();
-    let kind = detect_input(path)?;
-    let reduction = match kind {
-        TraceInputKind::Text => reduce_trace_file_obs(config, path, shards, recorder)?,
-        TraceInputKind::ContainerV2 => reduce_container_file_obs(config, path, shards, recorder)?,
-        TraceInputKind::BinaryV1 => {
-            let mut obs = recorder.shard();
-            let span = obs.start();
-            let bytes = std::fs::read(path)?;
-            let app =
-                trace_model::codec::decode_app_trace(&bytes).map_err(ContainerError::Codec)?;
-            obs.end(trace_obs::Stage::Parse, span);
-            // The matching counters drain inside `reduce_app_obs`; the
-            // stream-level stats drain below.
-            let (reduced, matching) = Reducer::new(config).reduce_app_obs(&app, recorder);
-            let segments: usize = app.ranks.iter().map(|r| r.segment_instance_count()).sum();
-            let stats = StreamStats {
-                ranks: app.rank_count(),
-                events: app.total_events(),
-                segments,
-                stored: reduced.total_stored(),
-                execs: reduced.total_execs(),
-                // Monolithic: every segment (and the whole file) resident.
-                peak_resident_segments: segments,
-                peak_chunk_bytes: bytes.len(),
-                matching,
-                ..StreamStats::default()
-            };
-            if obs.is_enabled() {
-                use trace_obs::names;
-                obs.add(names::STREAM_RANKS, stats.ranks as u64);
-                obs.add(names::STREAM_EVENTS, stats.events as u64);
-                obs.add(names::STREAM_SEGMENTS, stats.segments as u64);
-                obs.add(names::STREAM_STORED, stats.stored as u64);
-                obs.add(names::STREAM_EXECS, stats.execs as u64);
-                obs.gauge_max(
-                    names::STREAM_PEAK_RESIDENT_SEGMENTS,
-                    stats.peak_resident_segments as u64,
-                );
-                obs.gauge_max(
-                    names::STREAM_PEAK_CHUNK_BYTES,
-                    stats.peak_chunk_bytes as u64,
-                );
-            }
-            obs.finish();
-            StreamReduction { reduced, stats }
-        }
-    };
-    Ok((reduction, kind))
+    Ok(TraceInputKind::detect(&magic))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use crate::reduce::{reduce_input, StreamReduction, TraceInput};
     use trace_container::{encode_app_container, encode_reduced_container, ChunkSpec};
     use trace_model::codec::encode_app_trace;
-    use trace_reduce::Method;
+    use trace_reduce::{Method, MethodConfig, Reducer};
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
     fn temp_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
@@ -374,6 +126,15 @@ mod tests {
         path
     }
 
+    fn reduce(
+        config: MethodConfig,
+        input: TraceInput<'_>,
+        workers: usize,
+    ) -> Result<StreamReduction, StreamError> {
+        let disabled = trace_obs::Recorder::disabled();
+        reduce_input(&Reducer::new(config), input, workers, &disabled)
+    }
+
     #[test]
     fn container_stream_equals_in_memory_for_every_chunk_size() {
         let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
@@ -381,7 +142,7 @@ mod tests {
         let in_memory = Reducer::new(config).reduce_app(&app);
         for segments_per_chunk in [1, 3, 64, usize::MAX] {
             let bytes = encode_app_container(&app, ChunkSpec::with_segments(segments_per_chunk));
-            let streamed = reduce_container_stream(config, Cursor::new(&bytes)).unwrap();
+            let streamed = reduce(config, TraceInput::Bytes(&bytes), 1).unwrap();
             assert_eq!(
                 streamed.reduced, in_memory,
                 "{segments_per_chunk} seg/chunk"
@@ -398,10 +159,11 @@ mod tests {
         let bytes = encode_app_container(&app, ChunkSpec::with_segments(8));
         let path = temp_file("sharded.trc", &bytes);
         let config = MethodConfig::with_default_threshold(Method::RelDiff);
-        let sequential = reduce_container_file(config, &path, 1).unwrap();
-        for shards in [2, 3, 8, 64] {
-            let sharded = reduce_container_file(config, &path, shards).unwrap();
-            assert_eq!(sharded.reduced, sequential.reduced, "{shards} shards");
+        let sequential = reduce(config, TraceInput::File(&path), 1).unwrap();
+        for workers in [2, 3, 8, 64] {
+            let sharded = reduce(config, TraceInput::File(&path), workers).unwrap();
+            assert_eq!(sharded.reduced, sequential.reduced, "{workers} workers");
+            assert_eq!(sharded.workers, workers.min(app.rank_count()));
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -424,8 +186,9 @@ mod tests {
             (&v1, TraceInputKind::BinaryV1),
             (&v2, TraceInputKind::ContainerV2),
         ] {
-            let (reduction, kind) = reduce_any_file(config, path, 2).unwrap();
+            let kind = detect_input(path).unwrap();
             assert_eq!(kind, want_kind);
+            let reduction = reduce(config, TraceInput::File(path), 2).unwrap();
             assert_eq!(reduction.reduced, expected, "{}", kind.label());
         }
 
@@ -441,11 +204,11 @@ mod tests {
         let reduced = Reducer::new(config).reduce_app(&app);
         let bytes = encode_reduced_container(&reduced, ChunkSpec::default());
 
-        let err = reduce_container_stream(config, Cursor::new(&bytes)).unwrap_err();
+        let err = reduce(config, TraceInput::Bytes(&bytes), 1).unwrap_err();
         assert!(err.as_container().is_some(), "{err}");
 
         let path = temp_file("reduced.trc", &bytes);
-        let err = reduce_container_file(config, &path, 4).unwrap_err();
+        let err = reduce(config, TraceInput::File(&path), 4).unwrap_err();
         assert!(err.as_container().is_some(), "{err}");
         let _ = std::fs::remove_file(&path);
     }

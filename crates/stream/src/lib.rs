@@ -11,42 +11,36 @@
 //!   as `trace_format` (one line resident at a time).
 //! * [`binary::ContainerSource`] — the same item stream pulled from a
 //!   chunked binary container (`.trc` v2, the `trace_container` crate),
-//!   one CRC-checked chunk resident at a time.  Both sources sit behind
-//!   the [`source::AppItemSource`] trait, so one reduction loop serves
-//!   both formats.
-//! * [`reduce::reduce_stream`] — feeds each completed segment straight into
-//!   the stored-segments loop ([`trace_reduce::OnlineRankReducer`]) as it
-//!   arrives.  Resident segment state is O(stored representatives + one
-//!   in-flight segment per active rank), never O(total events), and the
-//!   output is identical to the in-memory [`trace_reduce::Reducer`] —
-//!   both paths drive the same state machines.
-//! * [`shard::reduce_stream_sharded`] / [`shard::reduce_trace_file`] —
-//!   batch rank sections across crossbeam worker threads
-//!   ([`trace_reduce::scoped_workers`]), each worker streaming its own
-//!   reader and skipping the sections owned by other workers.
-//! * [`binary::reduce_container_file`] — the binary counterpart goes
-//!   further: workers *seek* straight to their rank sections via the
-//!   container's index footer instead of scanning the file.
-//!   [`binary::reduce_any_file`] autodetects text, monolithic v1 and
-//!   container v2 inputs by magic bytes.
+//!   one CRC-checked chunk resident at a time, either whole or one rank
+//!   section at a time via the index footer.  Both sources implement
+//!   [`trace_reduce::AppItemSource`], so one reduction loop serves both
+//!   formats.
+//! * [`reduce::reduce_input`] — the single reduction entry point.  It
+//!   detects the input format by magic bytes, picks the partitions that
+//!   suit it (the whole stream for text, index sections for a container
+//!   read by several workers, one rank each for in-memory traces) and runs
+//!   the driver's record → segment → match loop over them on up to
+//!   `workers` threads.  The output is identical to the in-memory
+//!   [`trace_reduce::Reducer`] for every input and worker count.
 //!
 //! # Quick start
 //!
 //! ```
-//! use std::io::Cursor;
 //! use trace_format::write_app_trace;
-//! use trace_reduce::{Method, MethodConfig, Reducer};
+//! use trace_obs::Recorder;
+//! use trace_reduce::{Method, Reducer};
 //! use trace_sim::{SizePreset, Workload, WorkloadKind};
-//! use trace_stream::reduce_stream;
+//! use trace_stream::{reduce_input, TraceInput};
 //!
 //! let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
 //! let text = write_app_trace(&app);
 //!
-//! let config = MethodConfig::with_default_threshold(Method::AvgWave);
-//! let streamed = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
+//! let reducer = Reducer::with_default_threshold(Method::AvgWave);
+//! let input = TraceInput::Bytes(text.as_bytes());
+//! let streamed = reduce_input(&reducer, input, 1, &Recorder::disabled()).unwrap();
 //!
 //! // Identical to the in-memory path, with bounded resident state.
-//! assert_eq!(streamed.reduced, Reducer::new(config).reduce_app(&app));
+//! assert_eq!(streamed.reduced, reducer.reduce_app(&app));
 //! assert!(streamed.stats.peak_resident_segments <= streamed.stats.stored + 1);
 //! ```
 
@@ -56,18 +50,9 @@ pub mod binary;
 pub mod error;
 pub mod parser;
 pub mod reduce;
-pub mod shard;
-pub mod source;
 
-pub use binary::{
-    detect_input, reduce_any_file, reduce_any_file_obs, reduce_container_file,
-    reduce_container_file_obs, reduce_container_stream, reduce_container_stream_obs,
-    ContainerSource, TraceInputKind,
-};
+pub use binary::{detect_input, ContainerSource, TraceInputKind};
 pub use error::StreamError;
-pub use parser::{AppItem, StreamParser};
-pub use reduce::{reduce_stream, reduce_stream_obs, StreamReduction, StreamStats};
-pub use shard::{
-    reduce_stream_sharded, reduce_stream_sharded_obs, reduce_trace_file, reduce_trace_file_obs,
-};
-pub use source::AppItemSource;
+pub use parser::StreamParser;
+pub use reduce::{reduce_input, StreamReduction, TraceInput};
+pub use trace_reduce::StreamStats;

@@ -11,7 +11,8 @@ use std::io::{self, BufRead};
 use trace_format::record::{parse_app_body_line, AppBodyLine, HeaderBuilder, TraceTables};
 use trace_format::write::APP_HEADER;
 use trace_format::FormatError;
-use trace_model::{Rank, TraceRecord};
+use trace_model::Rank;
+use trace_reduce::{AppItem, AppItemSource};
 
 use crate::error::StreamError;
 
@@ -57,17 +58,6 @@ impl<R: BufRead> LineReader<R> {
     fn current(&self) -> &str {
         trace_format::record::meaningful_line(&self.buf).unwrap_or("")
     }
-}
-
-/// One item pulled from a full-trace stream.
-#[derive(Clone, Debug, PartialEq)]
-pub enum AppItem {
-    /// A `RANK <id>` section opened.
-    RankStart(Rank),
-    /// A record inside the open rank section.
-    Record(TraceRecord),
-    /// The open rank section closed.
-    RankEnd(Rank),
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -199,41 +189,13 @@ impl<R: BufRead> StreamParser<R> {
             }
         }
     }
+}
 
-    /// Skips the remainder of the open rank section without parsing its
-    /// record payloads (the sharded driver uses this to pass over ranks
-    /// owned by other workers).  Returns the skipped rank.
-    ///
-    /// Section structure is still enforced — a stray `RANK`/`END_TRACE`
-    /// inside the section is an error — but record lines are not validated.
-    pub fn skip_current_rank(&mut self) -> Result<Rank, StreamError> {
-        let State::InRank(rank) = self.state else {
-            return Err(
-                FormatError::structural("skip_current_rank called outside a rank section").into(),
-            );
-        };
-        debug_assert!(self.pending.is_none(), "pending line inside a rank section");
-        loop {
-            let Some(line_no) = self.lines.next_line()? else {
-                return Err(FormatError::structural(
-                    "unexpected end of input, expected rank records or END_RANK",
-                )
-                .into());
-            };
-            let line = self.lines.current();
-            if line == "END_RANK" {
-                self.state = State::Body;
-                self.ranks_seen += 1;
-                return Ok(rank);
-            }
-            if line.starts_with("RANK") || line == "END_TRACE" {
-                return Err(FormatError::at(
-                    line_no,
-                    format!("unexpected record {line:?} inside a rank section"),
-                )
-                .into());
-            }
-        }
+impl<R: BufRead> AppItemSource for StreamParser<R> {
+    type Error = StreamError;
+
+    fn next_item(&mut self) -> Result<Option<AppItem>, StreamError> {
+        StreamParser::next_item(self)
     }
 }
 
@@ -273,21 +235,6 @@ mod tests {
         assert_eq!(parser.ranks_seen(), app.rank_count());
         // The stream is exhausted and stays exhausted.
         assert_eq!(parser.next_item().unwrap(), None);
-    }
-
-    #[test]
-    fn skip_current_rank_passes_over_sections() {
-        let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
-        let text = write_app_trace(&app);
-        let mut parser = parser_for(&text);
-        let mut skipped = 0;
-        while let Some(item) = parser.next_item().unwrap() {
-            if let AppItem::RankStart(rank) = item {
-                assert_eq!(parser.skip_current_rank().unwrap(), rank);
-                skipped += 1;
-            }
-        }
-        assert_eq!(skipped, app.rank_count());
     }
 
     #[test]

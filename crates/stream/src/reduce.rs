@@ -1,254 +1,283 @@
-//! Online, bounded-memory reduction of a streamed trace.
+//! The reduction entry point: any trace input → one reduced trace.
 //!
-//! The reducer consumes [`StreamParser`] items and feeds each completed
-//! segment straight into the stored-segments loop
-//! ([`trace_reduce::OnlineRankReducer`]) as it arrives.  At any instant the
-//! resident segment state is the stored representatives accumulated so far
-//! plus at most one in-flight segment per active rank — never the full
-//! event stream.  [`StreamStats::peak_resident_segments`] instruments
-//! exactly that quantity so tests can assert the bound.
+//! [`reduce_input`] runs the driver's one record → segment → match loop
+//! ([`trace_reduce::SectionReducer`]) over the partitions that suit the
+//! input:
+//!
+//! * an in-memory [`AppTrace`] (and a decoded monolithic v1 file) — one
+//!   partition per rank;
+//! * a chunked v2 container read by more than one worker — one partition
+//!   per section of its index footer, each worker seeking straight to the
+//!   sections it claims;
+//! * anything else (text, or a container read by one worker) — the whole
+//!   stream in one pass, which also validates a container's trailing
+//!   `INDEX` chunk.
+//!
+//! Streamed inputs keep bounded memory: the resident segment state is the
+//! stored representatives plus at most one in-flight segment, never the
+//! full event stream ([`StreamStats::peak_resident_segments`] instruments
+//! exactly that).  Partitions are merged in order, so the output is
+//! identical to [`trace_reduce::Reducer::reduce_app`] for every input
+//! format and worker count.
 
-use std::io::BufRead;
+use std::convert::Infallible;
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, Cursor, Seek, SeekFrom};
+use std::path::Path;
 
-use trace_model::{ReducedAppTrace, ReducedRankTrace, TraceRecord};
-use trace_reduce::{MatchScratch, MatchStats, MethodConfig, OnlineRankReducer, OnlineSegmenter};
+use trace_container::{read_index, ContainerError, PayloadKind, Preamble};
+use trace_model::{AppTrace, ReducedAppTrace, ReducedRankTrace};
+use trace_reduce::{reduce_sections, AppItemSource, RankItems, Reducer, SectionReducer};
 
+use crate::binary::{detect_input, ContainerSource, TraceInputKind};
 use crate::error::StreamError;
-use crate::parser::{AppItem, StreamParser};
-use crate::source::AppItemSource;
+use crate::parser::StreamParser;
+use trace_reduce::StreamStats;
 
-/// Instrumentation counters from one streaming reduction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Rank sections reduced (excludes ranks skipped by other shards).
-    pub ranks: usize,
-    /// Event records seen in reduced ranks.
-    pub events: usize,
-    /// Segments cut from the stream and fed to the reducer.
-    pub segments: usize,
-    /// Stored representative segments in the output.
-    pub stored: usize,
-    /// Segment executions in the output.
-    pub execs: usize,
-    /// Peak number of segments resident at once: stored representatives
-    /// accumulated so far plus in-flight segments.  The streaming guarantee
-    /// is `peak_resident_segments ≤ total stored + active ranks`, however
-    /// long the trace is.  For sharded runs this is the *sum* of the
-    /// per-worker peaks — an upper bound on the true concurrent total,
-    /// since workers generally peak at different moments.
-    pub peak_resident_segments: usize,
-    /// Events encountered outside any segment (dropped).
-    pub orphan_events: usize,
-    /// Segments closed implicitly (missing or mismatched end markers).
-    pub unterminated_segments: usize,
-    /// Largest chunk payload buffered by any one reader, in bytes.  Zero
-    /// for text streams (they buffer one line, not chunks); for monolithic
-    /// v1 binary inputs this is the whole file, which is the point of the
-    /// chunked container.  Merging keeps the per-reader maximum, so the
-    /// concurrent total of a sharded run is at most `shards ×` this value.
-    pub peak_chunk_bytes: usize,
-    /// Similarity-matching counters from the cached fast path: candidate
-    /// comparisons, prefilter rejects, early abandons and matches across
-    /// every reduced rank.
-    pub matching: MatchStats,
-}
-
-impl StreamStats {
-    /// Merges counters from another (concurrently collected) run.  Counts
-    /// add up exactly; the peaks are also summed, which over-approximates
-    /// the true concurrent peak (each worker's resident set coexists with
-    /// the others', but their maxima need not coincide in time), so the
-    /// merged value is a safe upper bound rather than an observation.
-    pub fn absorb(&mut self, other: &StreamStats) {
-        self.ranks += other.ranks;
-        self.events += other.events;
-        self.segments += other.segments;
-        self.stored += other.stored;
-        self.execs += other.execs;
-        self.peak_resident_segments += other.peak_resident_segments;
-        self.orphan_events += other.orphan_events;
-        self.unterminated_segments += other.unterminated_segments;
-        self.peak_chunk_bytes = self.peak_chunk_bytes.max(other.peak_chunk_bytes);
-        self.matching.absorb(&other.matching);
-    }
-
-    /// Drains these counters into an observability shard under the
-    /// canonical `stream.*` (and nested `match.*`) metric names.  Call once
-    /// on the merged total — not per worker — so sharded drivers don't
-    /// double-count.
-    pub fn record_into(&self, obs: &mut trace_obs::ObsShard) {
-        if !obs.is_enabled() {
-            return;
-        }
-        use trace_obs::names;
-        obs.add(names::STREAM_RANKS, self.ranks as u64);
-        obs.add(names::STREAM_EVENTS, self.events as u64);
-        obs.add(names::STREAM_SEGMENTS, self.segments as u64);
-        obs.add(names::STREAM_STORED, self.stored as u64);
-        obs.add(names::STREAM_EXECS, self.execs as u64);
-        obs.add(names::STREAM_ORPHAN_EVENTS, self.orphan_events as u64);
-        obs.add(
-            names::STREAM_UNTERMINATED_SEGMENTS,
-            self.unterminated_segments as u64,
-        );
-        obs.gauge_max(
-            names::STREAM_PEAK_RESIDENT_SEGMENTS,
-            self.peak_resident_segments as u64,
-        );
-        obs.gauge_max(names::STREAM_PEAK_CHUNK_BYTES, self.peak_chunk_bytes as u64);
-        self.matching.record_into(obs);
-    }
-}
-
-/// The outcome of a streaming reduction: the reduced trace plus the
-/// instrumentation counters.
+/// The outcome of a reduction: the reduced trace, the instrumentation
+/// counters and the number of workers that ran.
 #[derive(Clone, Debug)]
 pub struct StreamReduction {
     /// The reduced application trace (identical to the in-memory path).
     pub reduced: ReducedAppTrace,
     /// Instrumentation counters.
     pub stats: StreamStats,
+    /// Workers actually used: the requested count capped at the
+    /// partitions the input has (1 for a whole-stream read).
+    pub workers: usize,
 }
 
-/// Reduces the rank sections selected by `take` (by 0-based section index),
-/// skipping the rest, and returns `(index, reduced rank)` pairs in stream
-/// order together with the instrumentation counters.  The source may be
-/// the text parser or the binary container reader — the loop is identical.
-///
-/// Each processed rank section is bracketed by a
-/// [`trace_obs::Stage::Rank`] span (the streaming loop fuses parse,
-/// segment and match per record, so the rank is the finest honestly
-/// separable unit — two clock reads per rank, nothing per record).  With a
-/// disabled shard the reduction is identical — recording never steers.
-pub(crate) fn reduce_selected_ranks_obs<S: AppItemSource>(
-    config: MethodConfig,
-    parser: &mut S,
-    mut take: impl FnMut(usize) -> bool,
-    obs: &mut trace_obs::ObsShard,
-) -> Result<(Vec<(usize, ReducedRankTrace)>, StreamStats), StreamError> {
-    let mut out: Vec<(usize, ReducedRankTrace)> = Vec::new();
-    let mut stats = StreamStats::default();
-    let mut next_index = 0usize;
-    // Stored representatives retained by already-finished ranks; the final
-    // ReducedAppTrace keeps them, so they count toward resident state.
-    let mut stored_retained = 0usize;
-    // One match scratch for the whole stream: the feature buffers are
-    // threaded from rank to rank, so the matching loop stays allocation
-    // free however many ranks flow past.
-    let mut scratch = MatchScratch::new();
-    let mut active: Option<(
-        usize,
-        OnlineSegmenter,
-        OnlineRankReducer,
-        trace_obs::SpanStart,
-    )> = None;
-
-    while let Some(item) = parser.next_item()? {
-        match item {
-            AppItem::RankStart(rank) => {
-                let index = next_index;
-                next_index += 1;
-                if take(index) {
-                    active = Some((
-                        index,
-                        OnlineSegmenter::new(),
-                        OnlineRankReducer::with_scratch(config, rank, std::mem::take(&mut scratch)),
-                        obs.start(),
-                    ));
-                } else {
-                    parser.skip_current_rank()?;
-                }
-            }
-            AppItem::Record(record) => {
-                let (_, segmenter, reducer, _) = active
-                    .as_mut()
-                    .expect("records only arrive inside a processed rank");
-                if matches!(record, TraceRecord::Event(_)) {
-                    stats.events += 1;
-                }
-                if let Some(segment) = segmenter.push(&record) {
-                    stats.segments += 1;
-                    reducer.push_segment_obs(segment, obs);
-                }
-                let resident = stored_retained
-                    + reducer.stored_count()
-                    + usize::from(segmenter.has_open_segment());
-                stats.peak_resident_segments = stats.peak_resident_segments.max(resident);
-            }
-            AppItem::RankEnd(_) => {
-                let (index, mut segmenter, mut reducer, span) = active
-                    .take()
-                    .expect("END_RANK only arrives inside a processed rank");
-                if let Some(segment) = segmenter.finish() {
-                    stats.segments += 1;
-                    reducer.push_segment_obs(segment, obs);
-                }
-                let seg_stats = segmenter.stats();
-                stats.orphan_events += seg_stats.orphan_events;
-                stats.unterminated_segments += seg_stats.unterminated_segments;
-                stats.matching.absorb(&reducer.match_stats());
-                let (reduced, returned) = reducer.finish_with_scratch();
-                scratch = returned;
-                stored_retained += reduced.stored_count();
-                stats.peak_resident_segments = stats.peak_resident_segments.max(stored_retained);
-                stats.ranks += 1;
-                obs.end(trace_obs::Stage::Rank, span);
-                out.push((index, reduced));
-            }
-        }
-    }
-
-    stats.stored = out.iter().map(|(_, r)| r.stored_count()).sum();
-    stats.execs = out.iter().map(|(_, r)| r.exec_count()).sum();
-    Ok((out, stats))
+/// A trace to reduce.
+#[derive(Clone, Copy, Debug)]
+pub enum TraceInput<'a> {
+    /// An in-memory application trace.
+    App(&'a AppTrace),
+    /// An encoded trace — text, monolithic v1 or container v2, detected by
+    /// its magic bytes.
+    Bytes(&'a [u8]),
+    /// A trace file — text, monolithic v1 or container v2, detected by its
+    /// magic bytes.
+    File(&'a Path),
 }
 
-/// Reduces a full-trace text stream with one pass and bounded memory.
-///
-/// The output [`ReducedAppTrace`] is semantically identical to parsing the
-/// whole trace and running [`trace_reduce::Reducer::reduce_app`] — both
-/// paths drive the same online segmenter and stored-segments state
-/// machines — but the full [`trace_model::AppTrace`] is never constructed.
-pub fn reduce_stream<R: BufRead>(
-    config: MethodConfig,
-    reader: R,
+/// Reduces `input` with `reducer` on up to `workers` threads (0 and 1 both
+/// mean the calling thread) and drains the final [`StreamStats`] into
+/// `recorder`.  Each rank records a [`trace_obs::Stage::Rank`] span; with a
+/// disabled recorder the output is bit-identical.
+pub fn reduce_input(
+    reducer: &Reducer,
+    input: TraceInput<'_>,
+    workers: usize,
+    recorder: &trace_obs::Recorder,
 ) -> Result<StreamReduction, StreamError> {
-    reduce_stream_obs(config, reader, &trace_obs::Recorder::disabled())
+    let reduction = match input {
+        TraceInput::App(app) => reduce_app(reducer, app, workers, recorder),
+        TraceInput::Bytes(bytes) => match TraceInputKind::detect(bytes) {
+            TraceInputKind::Text => reduce_text(reducer, bytes, recorder)?,
+            TraceInputKind::BinaryV1 => reduce_v1(reducer, bytes, workers, recorder)?,
+            TraceInputKind::ContainerV2 => {
+                reduce_container(reducer, || Ok(Cursor::new(bytes)), workers, recorder)?
+            }
+        },
+        TraceInput::File(path) => match detect_input(path)? {
+            TraceInputKind::Text => {
+                reduce_text(reducer, BufReader::new(File::open(path)?), recorder)?
+            }
+            TraceInputKind::BinaryV1 => {
+                reduce_v1(reducer, &std::fs::read(path)?, workers, recorder)?
+            }
+            TraceInputKind::ContainerV2 => reduce_container(
+                reducer,
+                || Ok(BufReader::new(File::open(path)?)),
+                workers,
+                recorder,
+            )?,
+        },
+    };
+    let mut obs = recorder.shard();
+    reduction.stats.record_into(&mut obs);
+    obs.finish();
+    Ok(reduction)
 }
 
-/// [`reduce_stream`] with observability: records per-rank
-/// [`trace_obs::Stage::Rank`] spans and drains the final [`StreamStats`]
-/// into `recorder`.  With a disabled recorder this is exactly
-/// [`reduce_stream`] — the reduced output is bit-identical either way.
-pub fn reduce_stream_obs<R: BufRead>(
-    config: MethodConfig,
-    reader: R,
+/// The workers [`reduce_sections`] runs for `sections` partitions.
+fn workers_for(workers: usize, sections: usize) -> usize {
+    workers.clamp(1, sections.max(1))
+}
+
+/// One partition per rank.
+fn reduce_app(
+    reducer: &Reducer,
+    app: &AppTrace,
+    workers: usize,
+    recorder: &trace_obs::Recorder,
+) -> StreamReduction {
+    let sections = app.rank_count();
+    let open =
+        |i: usize| Ok::<_, Infallible>(RankItems::new(app.ranks.get(i..=i).unwrap_or_default()));
+    let (ranks, stats) = match reduce_sections(*reducer, sections, workers, recorder, open) {
+        Ok(out) => out,
+        Err(never) => match never {},
+    };
+    let mut reduced = ReducedAppTrace::for_app(app);
+    reduced.ranks = ranks;
+    StreamReduction {
+        reduced,
+        stats,
+        workers: workers_for(workers, sections),
+    }
+}
+
+/// A monolithic v1 file has no streamable structure: it is decoded whole,
+/// then reduced like an in-memory trace.
+fn reduce_v1(
+    reducer: &Reducer,
+    bytes: &[u8],
+    workers: usize,
     recorder: &trace_obs::Recorder,
 ) -> Result<StreamReduction, StreamError> {
     let mut obs = recorder.shard();
+    let span = obs.start();
+    let app = trace_model::codec::decode_app_trace(bytes).map_err(ContainerError::Codec)?;
+    obs.end(trace_obs::Stage::Parse, span);
+    obs.finish();
+    let mut reduction = reduce_app(reducer, &app, workers, recorder);
+    // The whole file was resident.
+    reduction.stats.peak_chunk_bytes = bytes.len();
+    Ok(reduction)
+}
+
+/// The whole text stream in one pass.
+fn reduce_text<R: BufRead>(
+    reducer: &Reducer,
+    reader: R,
+    recorder: &trace_obs::Recorder,
+) -> Result<StreamReduction, StreamError> {
     let mut parser = StreamParser::new(reader)?;
     let tables = parser.tables().clone();
-    let (ranks, stats) = reduce_selected_ranks_obs(config, &mut parser, |_| true, &mut obs)?;
-    stats.record_into(&mut obs);
-    obs.finish();
+    let (ranks, stats) = reduce_whole(reducer, &mut parser, recorder)?;
     Ok(StreamReduction {
         reduced: ReducedAppTrace {
             name: tables.name,
             regions: tables.regions,
             contexts: tables.contexts,
-            ranks: ranks.into_iter().map(|(_, rank)| rank).collect(),
+            ranks,
         },
         stats,
+        workers: 1,
     })
+}
+
+/// One worker over the whole container, or several over its index
+/// sections.  `open` yields a fresh reader positioned at the file start.
+fn reduce_container<R: BufRead + Seek>(
+    reducer: &Reducer,
+    open: impl Fn() -> io::Result<R> + Sync,
+    workers: usize,
+    recorder: &trace_obs::Recorder,
+) -> Result<StreamReduction, StreamError> {
+    let mut reader = open()?;
+    if workers <= 1 {
+        let mut source = ContainerSource::new(reader)?;
+        source.set_obs(recorder.shard());
+        let preamble = preamble_of(&source)?;
+        let (ranks, stats) = reduce_whole(reducer, &mut source, recorder)?;
+        return Ok(StreamReduction {
+            reduced: reduced_from(preamble, ranks),
+            stats,
+            workers: 1,
+        });
+    }
+
+    let index = read_index(&mut reader)?;
+    if index.kind == PayloadKind::Reduced {
+        return Err(StreamError::Container(ContainerError::UnexpectedChunk {
+            expected: "an app-trace container",
+            found: "a reduced-trace container",
+        }));
+    }
+    reader.seek(SeekFrom::Start(0))?;
+    let preamble = preamble_of(&ContainerSource::new(reader)?)?;
+    // The whole-stream read validates this when it reaches the INDEX
+    // chunk; section reads never scan that far, so a short index must be
+    // rejected here or ranks would silently drop from the output.
+    let sections = index.sections;
+    if sections.len() != preamble.declared_ranks {
+        return Err(StreamError::Container(ContainerError::CountMismatch {
+            what: "rank sections",
+            declared: preamble.declared_ranks as u64,
+            found: sections.len() as u64,
+        }));
+    }
+    let open_section = |i: usize| {
+        let offset = sections
+            .get(i)
+            .map(|entry| entry.offset)
+            .ok_or_else(|| io::Error::other("partition outside the container index"))?;
+        let mut reader = open()?;
+        reader.seek(SeekFrom::Start(offset))?;
+        let mut source = ContainerSource::section(reader, offset);
+        source.set_obs(recorder.shard());
+        Ok::<_, StreamError>(source)
+    };
+    let (ranks, stats) =
+        reduce_sections(*reducer, sections.len(), workers, recorder, open_section)?;
+    Ok(StreamReduction {
+        reduced: reduced_from(preamble, ranks),
+        stats,
+        workers: workers_for(workers, sections.len()),
+    })
+}
+
+/// Runs one worker's loop over a whole stream on the calling thread.
+fn reduce_whole<S: AppItemSource<Error = StreamError>>(
+    reducer: &Reducer,
+    source: &mut S,
+    recorder: &trace_obs::Recorder,
+) -> Result<(Vec<ReducedRankTrace>, StreamStats), StreamError> {
+    let mut worker = SectionReducer::new(*reducer, recorder.shard());
+    let ranks = worker.reduce(source)?;
+    let ranks = ranks.into_iter().map(|rank| rank.reduced).collect();
+    Ok((ranks, worker.finish()))
+}
+
+fn preamble_of<R: io::Read>(source: &ContainerSource<R>) -> Result<Preamble, StreamError> {
+    source
+        .preamble()
+        .cloned()
+        .ok_or(StreamError::Container(ContainerError::UnexpectedChunk {
+            expected: "a PREAMBLE chunk",
+            found: "no preamble before the first rank section",
+        }))
+}
+
+fn reduced_from(preamble: Preamble, ranks: Vec<ReducedRankTrace>) -> ReducedAppTrace {
+    ReducedAppTrace {
+        name: preamble.name,
+        regions: preamble.regions,
+        contexts: preamble.contexts,
+        ranks,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use trace_container::{encode_app_container, ChunkSpec};
     use trace_format::write_app_trace;
-    use trace_reduce::{Method, Reducer};
+    use trace_reduce::{Method, MethodConfig};
     use trace_sim::{SizePreset, Workload, WorkloadKind};
+
+    fn reduce_bytes(config: MethodConfig, bytes: &[u8]) -> StreamReduction {
+        let disabled = trace_obs::Recorder::disabled();
+        reduce_input(
+            &Reducer::new(config),
+            TraceInput::Bytes(bytes),
+            1,
+            &disabled,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn streamed_reduction_equals_in_memory_reduction_for_every_method() {
@@ -257,7 +286,7 @@ mod tests {
         for method in Method::ALL {
             let config = MethodConfig::with_default_threshold(method);
             let in_memory = Reducer::new(config).reduce_app(&app);
-            let streamed = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
+            let streamed = reduce_bytes(config, text.as_bytes());
             assert_eq!(streamed.reduced, in_memory, "{method}");
             assert_eq!(streamed.stats.execs, in_memory.total_execs(), "{method}");
             assert_eq!(streamed.stats.stored, in_memory.total_stored(), "{method}");
@@ -269,7 +298,7 @@ mod tests {
         let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
         let text = write_app_trace(&app);
         let config = MethodConfig::with_default_threshold(Method::RelDiff);
-        let streamed = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
+        let streamed = reduce_bytes(config, text.as_bytes());
         assert_eq!(streamed.stats.ranks, app.rank_count());
         assert_eq!(streamed.stats.events, app.total_events());
         let segment_instances: usize = app
@@ -299,9 +328,47 @@ mod tests {
         text.push_str("END_RANK\nEND_TRACE\n");
 
         let config = MethodConfig::with_default_threshold(Method::RelDiff);
-        let streamed = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
+        let streamed = reduce_bytes(config, text.as_bytes());
         assert_eq!(streamed.stats.segments, 200);
         assert_eq!(streamed.stats.stored, 1);
         assert_eq!(streamed.stats.peak_resident_segments, 2);
+    }
+
+    #[test]
+    fn file_driver_round_trips_through_a_real_file() {
+        let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
+        let mut path = std::env::temp_dir();
+        path.push(format!("trace_stream_file_{}.txt", std::process::id()));
+        std::fs::write(&path, write_app_trace(&app)).unwrap();
+
+        let config = MethodConfig::with_default_threshold(Method::Euclidean);
+        let expected = Reducer::new(config).reduce_app(&app);
+        let disabled = trace_obs::Recorder::disabled();
+        for workers in [1, 4] {
+            let input = TraceInput::File(&path);
+            let result = reduce_input(&Reducer::new(config), input, workers, &disabled).unwrap();
+            assert_eq!(result.reduced, expected, "{workers} workers");
+            // Text has one partition: the whole stream.
+            assert_eq!(result.workers, 1);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn worker_errors_are_reported() {
+        let reducer = Reducer::with_default_threshold(Method::RelDiff);
+        let disabled = trace_obs::Recorder::disabled();
+        let err = reduce_input(&reducer, TraceInput::Bytes(b"BOGUS\n"), 3, &disabled).unwrap_err();
+        assert!(err.as_format().is_some(), "{err}");
+
+        // A corrupt section fails the worker that claims it, and the error
+        // reaches the caller instead of a silently shorter output.
+        let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+        let mut bytes = encode_app_container(&app, ChunkSpec::with_segments(4));
+        let index = read_index(&mut Cursor::new(&bytes)).unwrap();
+        let offset = index.sections[1].offset as usize;
+        bytes[offset + 12] ^= 0xff;
+        let err = reduce_input(&reducer, TraceInput::Bytes(&bytes), 3, &disabled).unwrap_err();
+        assert!(err.as_container().is_some(), "{err}");
     }
 }

@@ -1,17 +1,25 @@
 //! Property: streaming reduction of a chunked binary container ≡ in-memory
 //! reduction of the decoded trace, for all nine paper methods, any chunk
-//! size, any codec, and any shard count.
-
-use std::io::Cursor;
+//! size, any codec, and any worker count.
 
 use proptest::prelude::*;
 use trace_container::{encode_app_container, ChunkSpec, Codec};
+use trace_obs::Recorder;
 use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::specgen::{trace_from_specs, SegmentSpec};
-use trace_stream::{reduce_container_file, reduce_container_stream};
+use trace_stream::{reduce_input, StreamError, StreamReduction, TraceInput};
 
 fn build_trace(rank_specs: &[Vec<SegmentSpec>]) -> trace_model::AppTrace {
     trace_from_specs("binprop", rank_specs)
+}
+
+/// Reduces `input` through the single entry point with recording off.
+fn reduce(
+    config: MethodConfig,
+    input: TraceInput<'_>,
+    workers: usize,
+) -> Result<StreamReduction, StreamError> {
+    reduce_input(&Reducer::new(config), input, workers, &Recorder::disabled())
 }
 
 proptest! {
@@ -33,7 +41,7 @@ proptest! {
             for method in Method::ALL {
                 let config = MethodConfig::with_default_threshold(method);
                 let in_memory = Reducer::new(config).reduce_app(&app);
-                let streamed = reduce_container_stream(config, Cursor::new(&bytes))
+                let streamed = reduce(config, TraceInput::Bytes(&bytes), 1)
                     .expect("generated containers decode");
                 prop_assert_eq!(&streamed.reduced, &in_memory, "{} ({})", method, codec.name());
                 prop_assert!(
@@ -65,12 +73,12 @@ proptest! {
         std::fs::write(&path, &bytes).unwrap();
 
         let config = MethodConfig::with_default_threshold(Method::AvgWave);
-        let sequential = reduce_container_stream(config, Cursor::new(&bytes)).unwrap();
-        for shards in [2usize, 3] {
-            let sharded = reduce_container_file(config, &path, shards).unwrap();
+        let sequential = reduce(config, TraceInput::Bytes(&bytes), 1).unwrap();
+        for workers in [2usize, 3] {
+            let sharded = reduce(config, TraceInput::File(&path), workers).unwrap();
             prop_assert_eq!(
                 &sharded.reduced, &sequential.reduced,
-                "{} shards ({})", shards, codec.name()
+                "{} workers ({})", workers, codec.name()
             );
         }
         let _ = std::fs::remove_file(&path);
@@ -93,7 +101,7 @@ fn thresholded_methods_agree_across_the_threshold_grid_on_compressed_input() {
         for threshold in method.threshold_grid() {
             let config = MethodConfig::new(method, threshold);
             let in_memory = Reducer::new(config).reduce_app(&app);
-            let streamed = reduce_container_stream(config, Cursor::new(&bytes)).unwrap();
+            let streamed = reduce(config, TraceInput::Bytes(&bytes), 1).unwrap();
             assert_eq!(streamed.reduced, in_memory, "{method} @ {threshold}");
         }
     }

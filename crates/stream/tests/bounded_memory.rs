@@ -2,12 +2,11 @@
 //! stored representatives + in-flight segments, on a generated trace at
 //! least 10× larger than that bound (ISSUE 2 acceptance criterion).
 
-use std::io::Cursor;
-
 use trace_format::parse_app_trace;
+use trace_obs::Recorder;
 use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
-use trace_stream::{reduce_stream, reduce_trace_file};
+use trace_stream::{reduce_input, StreamError, StreamReduction, TraceInput};
 
 /// Generates an amplified Late Sender trace (the run replayed back-to-back)
 /// directly into a byte buffer via the sim's writer integration.
@@ -17,11 +16,20 @@ fn amplified_text(repeats: usize) -> Vec<u8> {
         .expect("writing to a Vec cannot fail")
 }
 
+/// Reduces `input` through the single entry point with recording off.
+fn reduce(
+    config: MethodConfig,
+    input: TraceInput<'_>,
+    workers: usize,
+) -> Result<StreamReduction, StreamError> {
+    reduce_input(&Reducer::new(config), input, workers, &Recorder::disabled())
+}
+
 #[test]
 fn resident_state_stays_an_order_of_magnitude_below_the_stream() {
     let text = amplified_text(60);
     let config = MethodConfig::with_default_threshold(Method::AvgWave);
-    let streamed = reduce_stream(config, Cursor::new(text.as_slice())).unwrap();
+    let streamed = reduce(config, TraceInput::Bytes(&text), 1).unwrap();
 
     // The amplified trace streams ≥ 10× more segments than the reducer
     // ever holds at once (stored representatives + one in-flight segment
@@ -50,11 +58,13 @@ fn big_trace_end_to_end_through_a_file_with_shards() {
     std::fs::write(&path, &text).unwrap();
 
     let config = MethodConfig::with_default_threshold(Method::RelDiff);
-    let sequential = reduce_stream(config, Cursor::new(text.as_slice())).unwrap();
-    let sharded = reduce_trace_file(config, &path, 4).unwrap();
+    let sequential = reduce(config, TraceInput::Bytes(&text), 1).unwrap();
+    let sharded = reduce(config, TraceInput::File(&path), 4).unwrap();
     assert_eq!(sharded.reduced, sequential.reduced);
-    // Every shard obeys the per-worker bound; the merged peak is the sum of
-    // concurrent workers, still far below the streamed segment count.
+    // A text file is one partition, so four requested workers read it as
+    // one whole stream; the resident bound stays far below the streamed
+    // segment count.
+    assert_eq!(sharded.workers, 1);
     assert!(sharded.stats.segments >= 10 * sharded.stats.peak_resident_segments);
 
     let _ = std::fs::remove_file(&path);

@@ -14,13 +14,12 @@
 //! * at the paper preset, a `delta-lz` container is at least 2× smaller on
 //!   disk than an uncompressed one while reducing to the identical output.
 
-use std::io::Cursor;
-
 use trace_container::{read_app_container, ChunkSpec, Codec};
 use trace_model::codec::encode_reduced_trace;
+use trace_obs::Recorder;
 use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
-use trace_stream::{reduce_container_file, reduce_container_stream};
+use trace_stream::{reduce_input, StreamError, StreamReduction, TraceInput};
 
 /// An amplified Late Sender container: the run replayed back-to-back,
 /// streamed straight into container chunks via the sim's writer.
@@ -34,12 +33,21 @@ fn amplified_container(repeats: usize, segments_per_chunk: usize, codec: Codec) 
         .expect("writing to a Vec cannot fail")
 }
 
+/// Reduces `input` through the single entry point with recording off.
+fn reduce(
+    config: MethodConfig,
+    input: TraceInput<'_>,
+    workers: usize,
+) -> Result<StreamReduction, StreamError> {
+    reduce_input(&Reducer::new(config), input, workers, &Recorder::disabled())
+}
+
 #[test]
 fn resident_state_stays_an_order_of_magnitude_below_the_container() {
     for codec in [Codec::None, Codec::DeltaLz] {
         let bytes = amplified_container(60, 8, codec);
         let config = MethodConfig::with_default_threshold(Method::AvgWave);
-        let streamed = reduce_container_stream(config, Cursor::new(&bytes)).unwrap();
+        let streamed = reduce(config, TraceInput::Bytes(&bytes), 1).unwrap();
 
         // Segment bound: stored representatives + one in-flight segment.
         let bound = streamed.stats.stored + 1;
@@ -89,15 +97,15 @@ fn big_container_end_to_end_through_a_file_with_shards() {
         std::fs::write(&path, &bytes).unwrap();
 
         let config = MethodConfig::with_default_threshold(Method::RelDiff);
-        let sequential = reduce_container_stream(config, Cursor::new(&bytes)).unwrap();
-        for shards in [2, 4] {
-            let sharded = reduce_container_file(config, &path, shards).unwrap();
+        let sequential = reduce(config, TraceInput::Bytes(&bytes), 1).unwrap();
+        for workers in [2, 4] {
+            let sharded = reduce(config, TraceInput::File(&path), workers).unwrap();
             // Index-sharded ingestion matches the single-shard output
             // bit-for-bit.
             assert_eq!(
                 encode_reduced_trace(&sharded.reduced),
                 encode_reduced_trace(&sequential.reduced),
-                "{shards} shards ({})",
+                "{workers} workers ({})",
                 codec.name()
             );
             // Per-reader chunk bound holds under sharding too.
@@ -138,8 +146,8 @@ fn paper_preset_delta_lz_at_least_halves_the_container() {
     // The compressed container reduces to the bit-identical output of both
     // the uncompressed streaming path and the in-memory path.
     let config = MethodConfig::with_default_threshold(Method::AvgWave);
-    let from_dlz = reduce_container_stream(config, Cursor::new(&dlz)).unwrap();
-    let from_none = reduce_container_stream(config, Cursor::new(&none)).unwrap();
+    let from_dlz = reduce(config, TraceInput::Bytes(&dlz), 1).unwrap();
+    let from_none = reduce(config, TraceInput::Bytes(&none), 1).unwrap();
     let in_memory = Reducer::new(config).reduce_app(&read_app_container(&none[..]).unwrap());
     assert_eq!(from_dlz.reduced, from_none.reduced);
     assert_eq!(

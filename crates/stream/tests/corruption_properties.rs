@@ -7,14 +7,13 @@
 //! (with a line number for text input) or parse to something valid, never
 //! unwind.
 
-use std::io::Cursor;
-
 use proptest::prelude::*;
 use trace_container::{encode_app_container, ChunkSpec};
 use trace_format::write_app_trace;
-use trace_reduce::{Method, MethodConfig};
+use trace_obs::Recorder;
+use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::specgen::{trace_from_specs, SegmentSpec};
-use trace_stream::{reduce_container_stream, reduce_stream, StreamError};
+use trace_stream::{reduce_input, StreamError, StreamReduction, TraceInput};
 
 fn build_trace(rank_specs: &[Vec<SegmentSpec>]) -> trace_model::AppTrace {
     trace_from_specs("corrupttrace", rank_specs)
@@ -29,6 +28,15 @@ fn spec_strategy() -> impl Strategy<Value = Vec<Vec<(u8, u8, u16)>>> {
 
 fn config() -> MethodConfig {
     MethodConfig::with_default_threshold(Method::AvgWave)
+}
+
+/// Reduces `input` through the single entry point with recording off.
+fn reduce(
+    config: MethodConfig,
+    input: TraceInput<'_>,
+    workers: usize,
+) -> Result<StreamReduction, StreamError> {
+    reduce_input(&Reducer::new(config), input, workers, &Recorder::disabled())
 }
 
 /// Asserts a text parse outcome is sane: success, or a format error whose
@@ -60,7 +68,7 @@ proptest! {
         let bytes = text.as_bytes();
         let cut = cut_seed % (bytes.len() + 1);
         let truncated = &bytes[..cut];
-        let result = reduce_stream(config(), Cursor::new(truncated)).map(|_| ());
+        let result = reduce(config(), TraceInput::Bytes(truncated), 1).map(|_| ());
         if cut < bytes.len() {
             prop_assert!(result.is_err(), "truncation at {cut} must not parse");
         }
@@ -77,7 +85,7 @@ proptest! {
         let mut bytes = text.into_bytes();
         let pos = pos_seed % bytes.len();
         bytes[pos] ^= 1 << bit;
-        let result = reduce_stream(config(), Cursor::new(&bytes[..])).map(|_| ());
+        let result = reduce(config(), TraceInput::Bytes(&bytes[..]), 1).map(|_| ());
         assert_text_outcome(result, &bytes);
     }
 
@@ -85,7 +93,7 @@ proptest! {
     fn garbage_prefix_text_never_panics(garbage in prop::collection::vec(any::<u8>(), 0..256)) {
         // Arbitrary bytes are (at best) not a valid header; either way the
         // parser must return, not unwind.
-        let _ = reduce_stream(config(), Cursor::new(&garbage[..]));
+        let _ = reduce(config(), TraceInput::Bytes(&garbage[..]), 1);
     }
 
     #[test]
@@ -95,7 +103,7 @@ proptest! {
     ) {
         let bytes = encode_app_container(&build_trace(&rank_specs), ChunkSpec::with_segments(3));
         let cut = cut_seed % bytes.len();
-        let result = reduce_container_stream(config(), Cursor::new(&bytes[..cut]));
+        let result = reduce(config(), TraceInput::Bytes(&bytes[..cut]), 1);
         prop_assert!(result.is_err(), "truncation at {cut} of {} must not parse", bytes.len());
     }
 
@@ -106,14 +114,14 @@ proptest! {
         bit in 0u8..8,
     ) {
         let mut bytes = encode_app_container(&build_trace(&rank_specs), ChunkSpec::with_segments(3));
-        let reference = reduce_container_stream(config(), Cursor::new(&bytes[..]))
+        let reference = reduce(config(), TraceInput::Bytes(&bytes[..]), 1)
             .expect("pristine container parses");
         let pos = pos_seed % bytes.len();
         bytes[pos] ^= 1 << bit;
         // A flip is either detected (CRC, magic, structure) or lands in a
         // byte that keeps the container decodable; both are fine — only a
         // panic or a silent wrong answer on detectable corruption is not.
-        if let Ok(reduction) = reduce_container_stream(config(), Cursor::new(&bytes[..])) {
+        if let Ok(reduction) = reduce(config(), TraceInput::Bytes(&bytes[..]), 1) {
             let _ = (reduction, &reference);
         }
     }

@@ -1,23 +1,21 @@
 //! Acceptance test: observability is behaviour-neutral (ISSUE 8).
 //!
-//! For every paper method and every reduction driver — sequential
-//! in-memory, parallel in-memory, streaming, sharded streaming and
-//! container streaming — the reduced trace produced with an enabled
+//! For every paper method and every input and worker count of the one
+//! reduction entry point — in-memory on one and four workers, text, and
+//! containers read whole or by index sections — the reduced trace produced with an enabled
 //! recorder must be bit-identical to the one produced with recording off.
 //! The comparison is on the *encoded bytes*, not just `PartialEq`, so even
 //! an ordering or serialization drift would fail.  Each enabled run is
 //! also asserted to have actually recorded (non-empty report), so the
 //! neutrality claim is never vacuous.
 
-use std::io::Cursor;
-
 use trace_container::{encode_app_container, ChunkSpec};
 use trace_model::codec::encode_reduced_trace;
 use trace_model::ReducedAppTrace;
 use trace_obs::Recorder;
-use trace_reduce::{reduce_app_parallel_obs, Method, MethodConfig, Reducer};
+use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
-use trace_stream::{reduce_container_stream_obs, reduce_stream_obs, reduce_stream_sharded_obs};
+use trace_stream::{reduce_input, TraceInput};
 
 /// A reduction driver: one way of running a method over the workload.
 type Driver<'a> = Box<dyn Fn(&Recorder) -> ReducedAppTrace + 'a>;
@@ -44,38 +42,33 @@ fn recording_never_changes_the_reduction_for_any_method_or_driver() {
     for method in Method::ALL {
         let config = MethodConfig::with_default_threshold(method);
         let reducer = Reducer::new(config);
+        let drive = |input: TraceInput<'_>, workers: usize, rec: &Recorder| {
+            reduce_input(&reducer, input, workers, rec).unwrap().reduced
+        };
         let drivers: Vec<(&str, Driver)> = vec![
             (
                 "sequential",
-                Box::new(|rec| reducer.reduce_app_obs(&app, rec).0),
+                Box::new(|rec| drive(TraceInput::App(&app), 1, rec)),
             ),
             (
                 "parallel",
-                Box::new(|rec| reduce_app_parallel_obs(&reducer, &app, 4, rec).0),
+                Box::new(|rec| drive(TraceInput::App(&app), 4, rec)),
             ),
             (
                 "streaming",
-                Box::new(|rec| {
-                    reduce_stream_obs(config, Cursor::new(text.as_slice()), rec)
-                        .unwrap()
-                        .reduced
-                }),
+                Box::new(|rec| drive(TraceInput::Bytes(&text), 1, rec)),
             ),
             (
                 "sharded",
-                Box::new(|rec| {
-                    reduce_stream_sharded_obs(config, 3, |_| Ok(Cursor::new(text.clone())), rec)
-                        .unwrap()
-                        .reduced
-                }),
+                Box::new(|rec| drive(TraceInput::Bytes(&text), 3, rec)),
             ),
             (
                 "container",
-                Box::new(|rec| {
-                    reduce_container_stream_obs(config, Cursor::new(container.as_slice()), rec)
-                        .unwrap()
-                        .reduced
-                }),
+                Box::new(|rec| drive(TraceInput::Bytes(&container), 1, rec)),
+            ),
+            (
+                "container sections",
+                Box::new(|rec| drive(TraceInput::Bytes(&container), 3, rec)),
             ),
         ];
         for (driver, drive) in drivers {
@@ -100,7 +93,8 @@ fn enabled_reports_carry_the_drained_pipeline_counters() {
     let config = MethodConfig::with_default_threshold(Method::AvgWave);
 
     let recorder = Recorder::enabled();
-    let reduction = reduce_stream_obs(config, Cursor::new(text.as_slice()), &recorder).unwrap();
+    let reducer = Reducer::new(config);
+    let reduction = reduce_input(&reducer, TraceInput::Bytes(&text), 1, &recorder).unwrap();
     let report = recorder.report();
 
     // The unified registry mirrors the legacy stats structs exactly —

@@ -3,20 +3,28 @@
 //! Random multi-rank traces (mixed contexts, event shapes and timings,
 //! including repeated same-shape segments so matching actually happens) are
 //! serialized to the text format and reduced twice — once in memory via
-//! [`trace_reduce::Reducer`], once via [`trace_stream::reduce_stream`] —
+//! [`trace_reduce::Reducer`], once via [`trace_stream::reduce_input`] —
 //! for every `Method` variant.  Stored segments and execution logs must be
-//! identical, and the sharded driver must agree with both.
-
-use std::io::Cursor;
+//! identical, for every worker count.
 
 use proptest::prelude::*;
 use trace_format::write_app_trace;
+use trace_obs::Recorder;
 use trace_reduce::{reduce_app_reference, reduce_rank_reference, Method, MethodConfig, Reducer};
 use trace_sim::specgen::{trace_from_specs, SegmentSpec};
-use trace_stream::{reduce_stream, reduce_stream_sharded};
+use trace_stream::{reduce_input, StreamError, StreamReduction, TraceInput};
 
 fn build_trace(rank_specs: &[Vec<SegmentSpec>]) -> trace_model::AppTrace {
     trace_from_specs("proptrace", rank_specs)
+}
+
+/// Reduces `input` through the single entry point with recording off.
+fn reduce(
+    config: MethodConfig,
+    input: TraceInput<'_>,
+    workers: usize,
+) -> Result<StreamReduction, StreamError> {
+    reduce_input(&Reducer::new(config), input, workers, &Recorder::disabled())
 }
 
 proptest! {
@@ -34,7 +42,7 @@ proptest! {
         for method in Method::ALL {
             let config = MethodConfig::with_default_threshold(method);
             let in_memory = Reducer::new(config).reduce_app(&app);
-            let streamed = reduce_stream(config, Cursor::new(text.as_bytes()))
+            let streamed = reduce(config, TraceInput::Bytes(text.as_bytes()), 1)
                 .expect("generated traces parse");
             // Same stored segments, same execution logs, for every rank.
             prop_assert_eq!(&streamed.reduced, &in_memory, "{}", method);
@@ -58,13 +66,11 @@ proptest! {
         let app = build_trace(&rank_specs);
         let text = write_app_trace(&app);
         let config = MethodConfig::with_default_threshold(Method::AvgWave);
-        let sequential = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
-        for shards in [2usize, 3] {
-            let sharded = reduce_stream_sharded(config, shards, |_| {
-                Ok(Cursor::new(text.as_bytes().to_vec()))
-            })
+        let sequential = reduce(config, TraceInput::Bytes(text.as_bytes()), 1).unwrap();
+        for workers in [2usize, 3] {
+            let sharded = reduce(config, TraceInput::Bytes(text.as_bytes()), workers)
             .unwrap();
-            prop_assert_eq!(&sharded.reduced, &sequential.reduced, "{} shards", shards);
+            prop_assert_eq!(&sharded.reduced, &sequential.reduced, "{} workers", workers);
         }
     }
 }
@@ -88,7 +94,7 @@ fn thresholded_methods_agree_across_the_threshold_grid() {
         for threshold in method.threshold_grid() {
             let config = MethodConfig::new(method, threshold);
             let in_memory = Reducer::new(config).reduce_app(&app);
-            let streamed = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
+            let streamed = reduce(config, TraceInput::Bytes(text.as_bytes()), 1).unwrap();
             assert_eq!(streamed.reduced, in_memory, "{method} @ {threshold}");
         }
     }
@@ -99,7 +105,7 @@ fn streaming_and_sharded_drivers_match_the_naive_reference_path() {
     // The streaming loop drives the cached fast path (scratch threaded
     // from rank to rank); its output must still be bit-identical to the
     // naive reference reducer across all nine methods and the threshold
-    // grids, sequentially and sharded.
+    // grids, for every worker count.
     let specs: Vec<Vec<SegmentSpec>> = (0..4)
         .map(|rank| {
             (0..18)
@@ -120,7 +126,7 @@ fn streaming_and_sharded_drivers_match_the_naive_reference_path() {
         {
             let config = MethodConfig::new(method, threshold);
             let reference = reduce_app_reference(config, &app);
-            let streamed = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
+            let streamed = reduce(config, TraceInput::Bytes(text.as_bytes()), 1).unwrap();
             assert_eq!(streamed.reduced, reference, "{method} @ {threshold}");
             // Fast-path counters partition; matches are the same decisions
             // the reference made.
@@ -130,14 +136,11 @@ fn streaming_and_sharded_drivers_match_the_naive_reference_path() {
                 matching.comparisons,
                 "{method} @ {threshold}"
             );
-            for shards in [2usize, 3] {
-                let sharded = reduce_stream_sharded(config, shards, |_| {
-                    Ok(Cursor::new(text.as_bytes().to_vec()))
-                })
-                .unwrap();
+            for workers in [2usize, 3] {
+                let sharded = reduce(config, TraceInput::Bytes(text.as_bytes()), workers).unwrap();
                 assert_eq!(
                     sharded.reduced, reference,
-                    "{method} @ {threshold}, {shards} shards"
+                    "{method} @ {threshold}, {workers} workers"
                 );
             }
         }
@@ -149,8 +152,8 @@ fn streaming_index_counters_reconcile_with_the_reference_scan() {
     // The streaming loop drives the candidate index by default.  Every
     // candidate the naive reference compared must be accounted for by the
     // streamed counters — either visited (`comparisons`) or attributed to
-    // a window / pivot prune — and the sharded driver must aggregate the
-    // identical totals, merely in a different worker order.  (60 segments
+    // a window / pivot prune — and every worker count must aggregate the
+    // identical totals.  (60 segments
     // per rank: the per-shape buckets must outgrow the index's
     // small-bucket fallback for the prune counters to be non-trivial.)
     let specs: Vec<Vec<SegmentSpec>> = (0..3)
@@ -175,7 +178,7 @@ fn streaming_index_counters_reconcile_with_the_reference_scan() {
             .iter()
             .map(|rank| reduce_rank_reference(config, rank).matching.comparisons)
             .sum();
-        let streamed = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
+        let streamed = reduce(config, TraceInput::Bytes(text.as_bytes()), 1).unwrap();
         assert_eq!(
             streamed.stats.matching.candidates(),
             reference_comparisons,
@@ -185,14 +188,11 @@ fn streaming_index_counters_reconcile_with_the_reference_scan() {
             streamed.stats.matching.comparisons <= reference_comparisons,
             "{method}: the index must never visit more than the scan"
         );
-        for shards in [2usize, 3] {
-            let sharded = reduce_stream_sharded(config, shards, |_| {
-                Ok(Cursor::new(text.as_bytes().to_vec()))
-            })
-            .unwrap();
+        for workers in [2usize, 3] {
+            let sharded = reduce(config, TraceInput::Bytes(text.as_bytes()), workers).unwrap();
             assert_eq!(
                 sharded.stats.matching, streamed.stats.matching,
-                "{method} with {shards} shards: counters aggregate identically"
+                "{method} with {workers} workers: counters aggregate identically"
             );
         }
     }

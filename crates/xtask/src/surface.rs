@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn determinism_and_bin_crates() {
         assert!(class("crates/core/src/reducer.rs").unwrap().determinism);
-        assert!(class("crates/stream/src/shard.rs").unwrap().determinism);
+        assert!(class("crates/stream/src/reduce.rs").unwrap().determinism);
         assert!(!class("crates/sim/src/lib.rs").unwrap().determinism);
         // The observability crate holds the sole audited clock: keeping it
         // under the determinism rules makes every new time read a lint hit.

@@ -5,8 +5,10 @@ use trace_reduction::eval::evaluation::evaluate_method;
 use trace_reduction::model::codec::{
     decode_app_trace, decode_reduced_trace, encode_app_trace, encode_reduced_trace,
 };
-use trace_reduction::reduce::{reduce_app_parallel, Method, MethodConfig, Reducer};
+use trace_reduction::obs::Recorder;
+use trace_reduction::reduce::{Method, MethodConfig, Reducer};
 use trace_reduction::sim::{SizePreset, Workload, WorkloadKind};
+use trace_reduction::stream::{reduce_input, TraceInput};
 
 /// A representative subset of workloads covering every category: regular,
 /// interference, dynamic load balance, and the application.
@@ -60,7 +62,9 @@ fn reduction_is_deterministic_and_parallelism_invariant() {
         let reducer = Reducer::with_default_threshold(method);
         let a = reducer.reduce_app(&full);
         let b = reducer.reduce_app(&full);
-        let c = reduce_app_parallel(&reducer, &full, 4);
+        let c = reduce_input(&reducer, TraceInput::App(&full), 4, &Recorder::disabled())
+            .unwrap()
+            .reduced;
         assert_eq!(a, b, "{method}: reduction must be deterministic");
         assert_eq!(a, c, "{method}: parallel reduction must match sequential");
     }
