@@ -10,7 +10,7 @@ use trace_clustering::{
 };
 use trace_format::{parse_app_trace, write_app_trace};
 use trace_model::codec::{decode_app_trace, encode_app_trace};
-use trace_reduce::{dtw_distance, ExtendedMethod, ExtendedReducer, Method, Reducer};
+use trace_reduce::{dtw_distance, ExtendedMethod, Method, Reducer};
 use trace_sampling::{sample_app, SamplingPolicy};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -52,7 +52,7 @@ fn bench_reduction_families(c: &mut Criterion) {
         b.iter(|| reducer.reduce_app(&full))
     });
     group.bench_function("similarity_dtw", |b| {
-        let reducer = ExtendedReducer::with_default_threshold(ExtendedMethod::Dtw);
+        let reducer = Reducer::with_default_threshold(ExtendedMethod::Dtw);
         b.iter(|| reducer.reduce_app(&full))
     });
     for n in [2usize, 10] {

@@ -4,9 +4,7 @@ use std::path::Path;
 
 use trace_analysis::diagnose;
 use trace_eval::{evaluate_method, file_size_percent};
-use trace_reduce::{
-    ExtendedConfig, ExtendedMethod, ExtendedReducer, Method, MethodConfig, Reducer,
-};
+use trace_reduce::{ExtendedConfig, ExtendedMethod, Method, MethodConfig, Reducer};
 use trace_sampling::{sample_app, AdaptiveConfig, SamplingPolicy};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -27,10 +25,10 @@ subcommands:
   list                                   list workloads, methods and sampling policies
   generate   --workload W --out FILE     generate a benchmark/application trace
              [--preset tiny|small|paper] [binary output flags]
-  reduce     --in FILE --out FILE        similarity-based reduction; paper methods
-             --method M [--threshold T]  stream the input (text, binary v1 or
+  reduce     --in FILE --out FILE        similarity-based reduction; every method
+             --method M [--threshold T]  streams the input (text, binary v1 or
              [binary output flags]       container v2, detected by magic bytes)
-             [--shards N]                worker count for paper methods, capped
+             [--shards N]                worker count for every method, capped
                                          at the input's partitions: one per rank
                                          for v1, one per index section for v2
                                          containers, one for text
@@ -363,9 +361,9 @@ fn cmd_generate(invocation: &Invocation) -> Result<String, String> {
     Ok(message)
 }
 
-/// `reduce`: paper methods run through the streaming driver on the input
-/// file (format detected by magic bytes, `--shards` workers); extension
-/// methods reduce in memory.  `--stream` is accepted and changes nothing.
+/// `reduce`: every method runs through the reduction driver on the input
+/// file (format detected by magic bytes, `--shards` workers).  `--stream`
+/// is accepted and changes nothing.
 fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     let config = parse_method(invocation)?;
     let input = Path::new(invocation.require("in")?);
@@ -373,50 +371,19 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     let format = parse_binary_format(invocation, out)?;
     let obs = parse_obs(invocation)?;
     let recorder = obs_recorder(&obs);
-    let (reduced, mut message, original, method) = match config.method {
-        ExtendedMethod::Paper(method) => {
-            let shards = invocation.get_usize("shards")?.unwrap_or(1);
-            if shards == 0 {
-                return Err("--shards must be at least 1".to_string());
-            }
-            let method = MethodConfig::new(method, config.threshold);
-            let reduce = || -> Result<_, trace_stream::StreamError> {
-                let kind = trace_stream::detect_input(input)?;
-                let file = trace_stream::TraceInput::File(input);
-                let result =
-                    trace_stream::reduce_input(&Reducer::new(method), file, shards, &recorder)?;
-                Ok((kind, result))
-            };
-            let (kind, result) = reduce().map_err(|e| format!("{}: {e}", input.display()))?;
-            let message = stream_summary(&result, kind, &config);
-            (result.reduced, message, None, Some(method))
-        }
-        _ => {
-            if invocation.has("shards") {
-                return Err(format!(
-                    "--shards applies to the nine paper methods; {} reduces in memory",
-                    config.label()
-                ));
-            }
-            let app = load_app_trace_obs(input, &recorder)?;
-            // One coarse Match span around the whole extension reduction.
-            let mut shard = recorder.shard();
-            let span = shard.start();
-            let reduced = ExtendedReducer::new(config).reduce_app(&app);
-            shard.end(trace_obs::Stage::Match, span);
-            shard.finish();
-            let message = format!(
-                "reduced {} with {} in memory: {} stored segments for {} executions, \
-                 degree of matching {:.3}",
-                app.name,
-                config.label(),
-                reduced.total_stored(),
-                reduced.total_execs(),
-                reduced.degree_of_matching(),
-            );
-            (reduced, message, Some(app), None)
-        }
+    let shards = invocation.get_usize("shards")?.unwrap_or(1);
+    if shards == 0 {
+        return Err("--shards must be at least 1".to_string());
+    }
+    let reduce = || -> Result<_, trace_stream::StreamError> {
+        let kind = trace_stream::detect_input(input)?;
+        let file = trace_stream::TraceInput::File(input);
+        let result = trace_stream::reduce_input(&Reducer::new(config), file, shards, &recorder)?;
+        Ok((kind, result))
     };
+    let (kind, result) = reduce().map_err(|e| format!("{}: {e}", input.display()))?;
+    let mut message = stream_summary(&result, kind, &config);
+    let reduced = result.reduced;
     let written = store_reduced_trace_obs(out, &reduced, format, &recorder)?;
     let input_bytes = std::fs::metadata(input)
         .map_err(|e| format!("cannot read {}: {e}", input.display()))?
@@ -431,8 +398,7 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
         write_reduce_report(
             invocation.require("report")?,
             &reduced,
-            original.as_ref(),
-            method,
+            config.paper(),
             run,
             &mut message,
         )?;
@@ -441,7 +407,7 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     Ok(message)
 }
 
-/// The summary of a paper-method reduction: input kind, workers used,
+/// The summary of a reduction: input kind, workers used,
 /// stored segments, executions and resident state.
 fn stream_summary(
     result: &trace_stream::StreamReduction,
@@ -614,7 +580,6 @@ fn cmd_report(invocation: &Invocation) -> Result<String, String> {
 fn write_reduce_report(
     path: &str,
     reduced: &trace_model::ReducedAppTrace,
-    original: Option<&trace_model::AppTrace>,
     method: Option<MethodConfig>,
     run: Option<trace_obs::RunReport>,
     message: &mut String,
@@ -623,7 +588,7 @@ fn write_reduce_report(
     if let Some(method) = method {
         options.method = method;
     }
-    let model = trace_report::build_model(reduced, original, run.as_ref(), &options);
+    let model = trace_report::build_model(reduced, None, run.as_ref(), &options);
     std::fs::write(path, trace_report::render_html(&model))
         .map_err(|e| format!("cannot write {path}: {e}"))?;
     message.push_str(&format!("\nanalysis report -> {path}"));
@@ -1142,19 +1107,6 @@ mod tests {
             &[
                 ("in", "/tmp/x.txt"),
                 ("out", "/tmp/y.trc"),
-                ("method", "dtw"),
-                ("stream", ""),
-                ("shards", "2"),
-            ],
-        ))
-        .unwrap_err();
-        assert!(err.contains("paper methods"), "{err}");
-
-        let err = run(&Invocation::new(
-            "reduce",
-            &[
-                ("in", "/tmp/x.txt"),
-                ("out", "/tmp/y.trc"),
                 ("method", "relDiff"),
                 ("stream", ""),
                 ("shards", "0"),
@@ -1508,18 +1460,21 @@ mod tests {
         assert!(out.contains("rank"), "{out}");
         assert!(out.contains("stream.events"), "{out}");
 
-        // Extension methods record the coarse Match span.
+        // Extension methods run through the same driver: per-rank spans
+        // and match counters.
         let out = run(&Invocation::new(
             "reduce",
             &[
                 ("in", trace.to_str().unwrap()),
                 ("out", reduced.to_str().unwrap()),
                 ("method", "dtw"),
+                ("shards", "2"),
                 ("obs", ""),
             ],
         ))
         .unwrap();
         assert!(out.contains("match"), "{out}");
+        assert!(out.contains("over 2 worker(s)"), "{out}");
 
         // convert emits a chrome trace with Parse and Store slices.
         let out = run(&Invocation::new(

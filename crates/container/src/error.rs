@@ -57,6 +57,13 @@ pub enum ContainerError {
         /// How many undeclared bytes were found.
         bytes: usize,
     },
+    /// A rank id or rank count does not fit the 32-bit rank space.
+    RankOutOfRange {
+        /// Which field was being read.
+        what: &'static str,
+        /// The value the file declares.
+        value: u64,
+    },
     /// A declared count disagreed with the items actually present.
     CountMismatch {
         /// What was being counted.
@@ -101,6 +108,9 @@ impl fmt::Display for ContainerError {
             }
             ContainerError::TrailingBytes { what, bytes } => {
                 write!(f, "{bytes} trailing bytes after {what}")
+            }
+            ContainerError::RankOutOfRange { what, value } => {
+                write!(f, "{what} {value} exceeds the 32-bit rank range")
             }
             ContainerError::CountMismatch {
                 what,

@@ -14,6 +14,7 @@ use trace_model::Rank;
 
 use crate::error::ContainerError;
 use crate::layout::{read_header, ChunkKind, ChunkStream, PayloadKind, INDEX_MAGIC, TRAILER_LEN};
+use crate::reader::read_rank;
 
 /// One rank section as listed in the index footer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,7 +49,7 @@ pub(crate) fn parse_index_payload(payload: &[u8]) -> Result<Vec<RankSectionEntry
     let mut sections = Vec::with_capacity(count.min(1 << 20) as usize);
     for _ in 0..count {
         sections.push(RankSectionEntry {
-            rank: Rank(varint_read_u64(&mut reader)? as u32),
+            rank: Rank(read_rank(&mut reader, "INDEX entry rank")?),
             offset: varint_read_u64(&mut reader)?,
             chunks: varint_read_u64(&mut reader)?,
             records: varint_read_u64(&mut reader)?,

@@ -212,22 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_current_rank_passes_over_sections() {
-        let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
-        let bytes = encode_app_container(&app, ChunkSpec::with_segments(2));
-        let mut reader = ChunkReader::new(&bytes[..]).unwrap();
-        let mut skipped = 0;
-        while let Some(item) = reader.next_item().unwrap() {
-            if let ContainerItem::RankStart(rank) = item {
-                assert_eq!(reader.skip_current_rank().unwrap(), rank);
-                skipped += 1;
-            }
-        }
-        assert_eq!(skipped, app.rank_count());
-        assert_eq!(reader.ranks_seen(), app.rank_count());
-    }
-
-    #[test]
     fn small_chunks_bound_the_readers_resident_payload() {
         let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
         let bytes = encode_app_container(&app, ChunkSpec::with_segments(1));

@@ -37,12 +37,22 @@ pub struct Preamble {
     pub contexts: ContextTable,
 }
 
+/// Reads a varint rank field, rejecting values outside the 32-bit rank
+/// space instead of truncating them.
+pub(crate) fn read_rank(
+    reader: &mut Reader<'_>,
+    what: &'static str,
+) -> Result<u32, ContainerError> {
+    let value = varint_read_u64(reader)?;
+    u32::try_from(value).map_err(|_| ContainerError::RankOutOfRange { what, value })
+}
+
 fn parse_preamble(payload: &[u8]) -> Result<Preamble, ContainerError> {
     let mut reader = Reader::new(payload);
     let name = read_string(&mut reader)?;
     let regions = RegionTable::from_names(read_string_table(&mut reader)?);
     let contexts = ContextTable::from_names(read_string_table(&mut reader)?);
-    let declared_ranks = varint_read_u64(&mut reader)? as usize;
+    let declared_ranks = read_rank(&mut reader, "declared rank count")? as usize;
     Ok(Preamble {
         name,
         declared_ranks,
@@ -218,7 +228,7 @@ impl<R: Read> ChunkReader<R> {
             });
         };
         let mut reader = Reader::new(payload);
-        let rank = Rank(varint_read_u64(&mut reader)? as u32);
+        let rank = Rank(read_rank(&mut reader, "RANK_END rank")?);
         let _chunks = varint_read_u64(&mut reader)?;
         let records = varint_read_u64(&mut reader)?;
         let segments = varint_read_u64(&mut reader)?;
@@ -283,7 +293,7 @@ impl<R: Read> ChunkReader<R> {
                     match chunk.kind {
                         ChunkKind::RankBegin => {
                             let mut reader = Reader::new(&chunk.payload);
-                            let rank = Rank(varint_read_u64(&mut reader)? as u32);
+                            let rank = Rank(read_rank(&mut reader, "RANK_BEGIN rank")?);
                             self.state = ReaderState::InSection(SectionProgress {
                                 rank,
                                 records: 0,
@@ -320,40 +330,6 @@ impl<R: Read> ChunkReader<R> {
             }
         }
     }
-
-    /// Skips the remainder of the open rank section without decoding (or
-    /// CRC-checking) its chunk payloads.  Returns the skipped rank.
-    pub fn skip_current_rank(&mut self) -> Result<Rank, ContainerError> {
-        let ReaderState::InSection(progress) =
-            std::mem::replace(&mut self.state, ReaderState::Idle)
-        else {
-            self.state = ReaderState::Done;
-            return Err(ContainerError::UnexpectedChunk {
-                expected: "an open rank section to skip",
-                found: "no section",
-            });
-        };
-        let rank = progress.rank;
-        self.cursor = ChunkCursor::default();
-        loop {
-            match self.stream.skip_chunk()? {
-                ChunkKind::Records => {}
-                ChunkKind::RankEnd => {
-                    self.ranks_seen += 1;
-                    if self.single_section {
-                        self.state = ReaderState::Done;
-                    }
-                    return Ok(rank);
-                }
-                other => {
-                    return Err(ContainerError::UnexpectedChunk {
-                        expected: "RECORDS or RANK_END",
-                        found: other.name(),
-                    })
-                }
-            }
-        }
-    }
 }
 
 /// Materializes a full [`AppTrace`] from an app-trace container.
@@ -369,7 +345,8 @@ pub fn read_app_container<R: Read>(reader: R) -> Result<AppTrace, ContainerError
         name: preamble.name,
         regions: preamble.regions,
         contexts: preamble.contexts,
-        ranks: Vec::with_capacity(preamble.declared_ranks),
+        // The declared count is untrusted: cap the preallocation.
+        ranks: Vec::with_capacity(preamble.declared_ranks.min(1 << 16)),
     };
     let mut open: Option<RankTrace> = None;
     while let Some(item) = chunks.next_item()? {
@@ -417,7 +394,8 @@ pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, Con
         name: preamble.name,
         regions: preamble.regions,
         contexts: preamble.contexts,
-        ranks: Vec::with_capacity(preamble.declared_ranks),
+        // The declared count is untrusted: cap the preallocation.
+        ranks: Vec::with_capacity(preamble.declared_ranks.min(1 << 16)),
     };
 
     let mut open: Option<ReducedRankTrace> = None;
@@ -436,9 +414,10 @@ pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, Con
                     });
                 }
                 let mut reader = Reader::new(&chunk.payload);
-                open = Some(ReducedRankTrace::new(Rank(
-                    varint_read_u64(&mut reader)? as u32
-                )));
+                open = Some(ReducedRankTrace::new(Rank(read_rank(
+                    &mut reader,
+                    "RANK_BEGIN rank",
+                )?)));
                 exec_phase = false;
             }
             ChunkKind::Stored => {
@@ -491,7 +470,7 @@ pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, Con
                     found: "RANK_END",
                 })?;
                 let mut reader = Reader::new(&chunk.payload);
-                let end_rank = Rank(varint_read_u64(&mut reader)? as u32);
+                let end_rank = Rank(read_rank(&mut reader, "RANK_END rank")?);
                 let _chunks = varint_read_u64(&mut reader)?;
                 let records = varint_read_u64(&mut reader)?;
                 let segments = varint_read_u64(&mut reader)?;
@@ -526,7 +505,10 @@ pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, Con
                         found: "INDEX",
                     });
                 }
-                if reduced.ranks.len() != preamble.declared_ranks {
+                let sections = crate::index::parse_index_payload(&chunk.payload)?;
+                if reduced.ranks.len() != preamble.declared_ranks
+                    || sections.len() != preamble.declared_ranks
+                {
                     return Err(ContainerError::CountMismatch {
                         what: "rank sections",
                         declared: preamble.declared_ranks as u64,

@@ -6,8 +6,10 @@
 use proptest::prelude::*;
 use trace_container::{
     decode_app_any, encode_app_container, encode_reduced_container, read_app_container, read_index,
-    read_reduced_container, ChunkSpec, Codec, ContainerError,
+    read_reduced_container, ChunkKind, ChunkReader, ChunkSpec, Codec, ContainerError, PayloadKind,
+    INDEX_MAGIC,
 };
+use trace_model::Rank;
 use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::specgen::{trace_from_specs, SegmentSpec};
 
@@ -282,6 +284,111 @@ fn stored_after_execs_is_rejected_even_with_valid_crcs() {
     let err = read_reduced_container(&swapped[..]).expect_err("out-of-order chunks");
     assert!(
         matches!(err, ContainerError::UnexpectedChunk { .. }),
+        "{err:?}"
+    );
+}
+
+/// A CRC-valid single-section container whose rank fields are chosen by
+/// the caller: `ranks` gives the RANK_BEGIN, RANK_END and INDEX-entry
+/// ranks, `declared` the preamble's rank count.  Returns the file and the
+/// section's byte offset.
+fn container_with_ranks(kind: PayloadKind, ranks: [u64; 3], declared: u64) -> (Vec<u8>, u64) {
+    use trace_container::layout::{write_chunk, write_header};
+    use trace_model::codec::varint::write_u64;
+    use trace_model::codec::{write_string, write_string_table};
+
+    fn chunk(file: &mut Vec<u8>, kind: ChunkKind, fields: &[u64]) {
+        let mut payload = Vec::new();
+        for &field in fields {
+            write_u64(&mut payload, field);
+        }
+        write_chunk(file, kind, Codec::None, &payload).unwrap();
+    }
+
+    let [begin, end, indexed] = ranks;
+    let mut file = Vec::new();
+    write_header(&mut file, kind).unwrap();
+    let mut preamble = Vec::new();
+    write_string(&mut preamble, "wide_ranks");
+    write_string_table(&mut preamble, &[]);
+    write_string_table(&mut preamble, &[]);
+    write_u64(&mut preamble, declared);
+    write_chunk(&mut file, ChunkKind::Preamble, Codec::None, &preamble).unwrap();
+    let section = file.len() as u64;
+    chunk(&mut file, ChunkKind::RankBegin, &[begin]);
+    chunk(&mut file, ChunkKind::RankEnd, &[end, 0, 0, 0, 0]);
+    let index = file.len() as u64;
+    chunk(
+        &mut file,
+        ChunkKind::Index,
+        &[1, indexed, section, 0, 0, 0, 0],
+    );
+    file.extend_from_slice(&index.to_le_bytes());
+    file.extend_from_slice(&INDEX_MAGIC);
+    (file, section)
+}
+
+#[test]
+fn rank_ids_beyond_32_bits_are_rejected_not_truncated() {
+    // 2^32 + 1 truncates to rank 1 under an `as u32` cast.
+    const WIDE: u64 = (1 << 32) + 1;
+
+    // Control: the same container with rank 1 everywhere decodes.
+    let (valid, _) = container_with_ranks(PayloadKind::App, [1, 1, 1], 1);
+    let app = decode_app_any(&valid).unwrap();
+    assert_eq!(app.ranks.len(), 1);
+    assert_eq!(app.ranks[0].rank, Rank(1));
+    let (valid, _) = container_with_ranks(PayloadKind::Reduced, [1, 1, 1], 1);
+    assert_eq!(read_reduced_container(&valid[..]).unwrap().ranks.len(), 1);
+
+    let wide_fields = [[WIDE, 1, 1], [1, WIDE, 1], [1, 1, WIDE]];
+    for (field, ranks) in ["RANK_BEGIN", "RANK_END", "INDEX entry"]
+        .into_iter()
+        .zip(wide_fields)
+    {
+        let out_of_range = |err: ContainerError| {
+            assert!(
+                matches!(err, ContainerError::RankOutOfRange { value: WIDE, .. }),
+                "{field}: {err:?}"
+            );
+        };
+        let (app, section) = container_with_ranks(PayloadKind::App, ranks, 1);
+        out_of_range(decode_app_any(&app).expect_err(field));
+        let mut reader = ChunkReader::new(&app[..]).unwrap();
+        let drained =
+            std::iter::from_fn(|| reader.next_item().transpose()).collect::<Result<Vec<_>, _>>();
+        out_of_range(drained.expect_err(field));
+        if field != "INDEX entry" {
+            let mut reader = ChunkReader::section(&app[section as usize..], section);
+            let drained = std::iter::from_fn(|| reader.next_item().transpose())
+                .collect::<Result<Vec<_>, _>>();
+            out_of_range(drained.expect_err(field));
+        } else {
+            out_of_range(read_index(&mut std::io::Cursor::new(&app)).expect_err(field));
+        }
+        let (reduced, _) = container_with_ranks(PayloadKind::Reduced, ranks, 1);
+        out_of_range(read_reduced_container(&reduced[..]).expect_err(field));
+    }
+
+    // The preamble's rank count gets the same check.
+    for kind in [PayloadKind::App, PayloadKind::Reduced] {
+        let (file, _) = container_with_ranks(kind, [1, 1, 1], WIDE);
+        let err = match kind {
+            PayloadKind::App => decode_app_any(&file).map(|_| ()),
+            PayloadKind::Reduced => read_reduced_container(&file[..]).map(|_| ()),
+        }
+        .expect_err("declared rank count");
+        assert!(
+            matches!(err, ContainerError::RankOutOfRange { value: WIDE, .. }),
+            "{err:?}"
+        );
+    }
+    // An in-range but false count is a count mismatch, and the readers do
+    // not preallocate for it.
+    let (file, _) = container_with_ranks(PayloadKind::App, [1, 1, 1], u64::from(u32::MAX));
+    let err = decode_app_any(&file).expect_err("false rank count");
+    assert!(
+        matches!(err, ContainerError::CountMismatch { .. }),
         "{err:?}"
     );
 }

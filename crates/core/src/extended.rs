@@ -2,11 +2,10 @@
 //!
 //! The paper's conclusion lists "investigating additional difference
 //! methods" as future work.  This module provides that extension on top of
-//! the unchanged paper pipeline: every extended method plugs into the same
-//! stored-segments algorithm through
-//! [`crate::reducer::reduce_rank_with_predicate`], so the comparison with the
-//! nine paper methods is apples-to-apples (same segmentation, same
-//! eligibility rule, same reconstruction).
+//! the unchanged paper pipeline: [`crate::Reducer`] takes any
+//! [`ExtendedConfig`] and runs it through the same stored-segments loop as
+//! the nine paper methods, so the comparison is apples-to-apples (same
+//! segmentation, same eligibility rule, same driver, same reconstruction).
 //!
 //! The extended methods are:
 //!
@@ -29,16 +28,15 @@
 
 use std::fmt;
 
-use trace_model::{stats, AppTrace, RankTrace, ReducedAppTrace, Segment};
+use trace_model::{stats, Segment};
 use trace_wavelet::{coefficient_distance, WaveletKind};
 
 use crate::dtw::dtw_within;
-use crate::features::{FeatureKind, SegmentFeatures};
+use crate::features::{
+    feature_kind, segments_match_cached, FeatureKind, MatchStats, SegmentFeatures,
+};
 use crate::method::{Method, MethodConfig};
 use crate::metric::{segments_match, wavelet_match};
-use crate::reducer::{
-    reduce_rank_with_cached_features, reduce_rank_with_predicate, RankReduction, Reducer,
-};
 
 /// Number of bins used by the delta-time histogram method.
 const HISTOGRAM_BINS: usize = 16;
@@ -140,6 +138,12 @@ impl ExtendedMethod {
     }
 }
 
+impl From<Method> for ExtendedMethod {
+    fn from(method: Method) -> Self {
+        ExtendedMethod::Paper(method)
+    }
+}
+
 impl fmt::Display for ExtendedMethod {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
@@ -178,6 +182,20 @@ impl ExtendedConfig {
     /// Short label such as `dtw(0.2)` used in reports.
     pub fn label(&self) -> String {
         format!("{}({})", self.method.name(), self.threshold)
+    }
+
+    /// The paper-method configuration, if this is one of the nine.
+    pub fn paper(&self) -> Option<MethodConfig> {
+        match self.method {
+            ExtendedMethod::Paper(method) => Some(MethodConfig::new(method, self.threshold)),
+            _ => None,
+        }
+    }
+}
+
+impl From<MethodConfig> for ExtendedConfig {
+    fn from(config: MethodConfig) -> Self {
+        ExtendedConfig::new(ExtendedMethod::Paper(config.method), config.threshold)
     }
 }
 
@@ -351,91 +369,76 @@ pub fn segments_match_extended(config: &ExtendedConfig, a: &Segment, b: &Segment
     }
 }
 
-/// Reduces traces with an extended method configuration.
-///
-/// Paper methods delegate to the unchanged [`Reducer`] — so `iter_k` and
-/// `iter_avg` keep their special stored-segment handling and the distance
-/// methods get the candidate index ([`crate::index`]).  Extension methods
-/// that read only measurement vectors or wavelet coefficients (`cosine`,
-/// `normEuclidean`, `cdf97Wave`) run through the cached-feature candidate
-/// path (features computed once per segment, once per representative);
-/// `cosine` gets no index window because it is scale-invariant — a segment
-/// of any duration can be a perfect cosine match — so no duration bound is
-/// admissible for it.  Only the structural methods (DTW's banded warping,
-/// the delta-time histograms) remain on the naive per-comparison
-/// predicate.
+/// A similarity test over cached features: a paper distance method's
+/// prefiltered kernel, or one of the extensions that read only the
+/// measurement vector (`cosine`, `normEuclidean`) or wavelet coefficients
+/// (`cdf97Wave`).
 #[derive(Clone, Copy, Debug)]
-pub struct ExtendedReducer {
-    config: ExtendedConfig,
+pub(crate) enum CachedKernel {
+    Paper(MethodConfig),
+    Cosine(f64),
+    NormalizedEuclidean(f64),
+    Cdf97Wave(f64),
 }
 
-impl ExtendedReducer {
-    /// Creates a reducer for the given extended configuration.
-    pub fn new(config: ExtendedConfig) -> Self {
-        ExtendedReducer { config }
-    }
-
-    /// Convenience constructor using the method's default threshold.
-    pub fn with_default_threshold(method: ExtendedMethod) -> Self {
-        ExtendedReducer::new(ExtendedConfig::with_default_threshold(method))
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> ExtendedConfig {
-        self.config
-    }
-
-    /// Reduces a single rank trace.
-    pub fn reduce_rank(&self, trace: &RankTrace) -> RankReduction {
-        let threshold = self.config.threshold;
-        match self.config.method {
-            ExtendedMethod::Paper(m) => {
-                Reducer::new(MethodConfig::new(m, threshold)).reduce_rank(trace)
+impl CachedKernel {
+    /// The cached kernel of `config`; `None` for the iteration methods,
+    /// which run no similarity test, and for `dtw` / `histogramDelta`,
+    /// which read raw segment structure.
+    pub(crate) fn of(config: &ExtendedConfig) -> Option<CachedKernel> {
+        let threshold = config.threshold;
+        match config.method {
+            ExtendedMethod::Paper(m) if m.is_distance_method() => {
+                Some(CachedKernel::Paper(MethodConfig::new(m, threshold)))
             }
-            ExtendedMethod::Cosine => {
-                reduce_rank_with_cached_features(trace, FeatureKind::Measurements, move |a, b| {
-                    cosine_dissimilarity_cached(a, b) <= threshold
-                })
-            }
+            ExtendedMethod::Cosine => Some(CachedKernel::Cosine(threshold)),
             ExtendedMethod::NormalizedEuclidean => {
-                reduce_rank_with_cached_features(trace, FeatureKind::Measurements, move |a, b| {
-                    normalized_euclidean_cached(a, b, threshold)
-                })
+                Some(CachedKernel::NormalizedEuclidean(threshold))
             }
-            ExtendedMethod::Cdf97Wave => reduce_rank_with_cached_features(
-                trace,
-                FeatureKind::Wavelet(WaveletKind::Cdf97),
-                move |a, b| cdf97_wave_cached(a, b, threshold),
-            ),
-            ExtendedMethod::Dtw | ExtendedMethod::HistogramDelta => {
-                let config = self.config;
-                reduce_rank_with_predicate(trace, move |a, b| {
-                    segments_match_extended(&config, a, b)
-                })
-            }
+            ExtendedMethod::Cdf97Wave => Some(CachedKernel::Cdf97Wave(threshold)),
+            ExtendedMethod::Paper(_) | ExtendedMethod::Dtw | ExtendedMethod::HistogramDelta => None,
         }
     }
 
-    /// Reduces every rank of an application trace.
-    pub fn reduce_app(&self, app: &AppTrace) -> ReducedAppTrace {
-        match self.config.method {
-            ExtendedMethod::Paper(m) => {
-                Reducer::new(MethodConfig::new(m, self.config.threshold)).reduce_app(app)
+    /// The features the kernel reads.
+    pub(crate) fn feature_kind(self) -> FeatureKind {
+        match self {
+            CachedKernel::Paper(config) => feature_kind(config.method),
+            CachedKernel::Cosine(_) | CachedKernel::NormalizedEuclidean(_) => {
+                FeatureKind::Measurements
             }
-            _ => {
-                let mut reduced = ReducedAppTrace::for_app(app);
-                for rank in &app.ranks {
-                    reduced.ranks.push(self.reduce_rank(rank).reduced);
-                }
-                reduced
-            }
+            CachedKernel::Cdf97Wave(_) => FeatureKind::Wavelet(WaveletKind::Cdf97),
         }
+    }
+
+    /// Decides one comparison and counts it into `stats`.  The extension
+    /// kernels have no prefilters: each comparison runs to completion.
+    pub(crate) fn accepts(
+        self,
+        incoming: &SegmentFeatures,
+        stored: &SegmentFeatures,
+        stats: &mut MatchStats,
+    ) -> bool {
+        let accepted = match self {
+            CachedKernel::Paper(config) => {
+                return segments_match_cached(&config, incoming, stored, stats)
+            }
+            CachedKernel::Cosine(threshold) => {
+                cosine_dissimilarity_cached(incoming, stored) <= threshold
+            }
+            CachedKernel::NormalizedEuclidean(threshold) => {
+                normalized_euclidean_cached(incoming, stored, threshold)
+            }
+            CachedKernel::Cdf97Wave(threshold) => cdf97_wave_cached(incoming, stored, threshold),
+        };
+        stats.full_kernel(accepted)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reducer::Reducer;
     use trace_model::{ContextId, Event, RegionId, Time};
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -592,9 +595,8 @@ mod tests {
     fn extended_reducer_delegates_paper_methods() {
         let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
         let via_paper = Reducer::with_default_threshold(Method::AvgWave).reduce_app(&app);
-        let via_extended =
-            ExtendedReducer::with_default_threshold(ExtendedMethod::Paper(Method::AvgWave))
-                .reduce_app(&app);
+        let via_extended = Reducer::with_default_threshold(ExtendedMethod::Paper(Method::AvgWave))
+            .reduce_app(&app);
         assert_eq!(via_paper.total_stored(), via_extended.total_stored());
         assert_eq!(via_paper.total_execs(), via_extended.total_execs());
     }
@@ -612,7 +614,7 @@ mod tests {
         ] {
             for threshold in method.threshold_grid() {
                 let config = ExtendedConfig::new(method, threshold);
-                let cached = ExtendedReducer::new(config).reduce_app(&app);
+                let cached = Reducer::new(config).reduce_app(&app);
                 let naive = crate::reducer::reduce_app_with_predicate(&app, |a, b| {
                     segments_match_extended(&config, a, b)
                 });
@@ -625,7 +627,7 @@ mod tests {
     fn extended_reducer_reduces_and_reconstructs_with_every_extension() {
         let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
         for method in ExtendedMethod::EXTENSIONS {
-            let reduced = ExtendedReducer::with_default_threshold(method).reduce_app(&app);
+            let reduced = Reducer::with_default_threshold(method).reduce_app(&app);
             assert_eq!(reduced.rank_count(), app.rank_count(), "{method}");
             assert!(reduced.total_stored() >= 1, "{method}");
             let approx = reduced.reconstruct();
@@ -644,8 +646,7 @@ mod tests {
         ] {
             let mut previous = 0usize;
             for threshold in [1.0, 0.4, 0.1, 0.01] {
-                let reduced =
-                    ExtendedReducer::new(ExtendedConfig::new(method, threshold)).reduce_app(&app);
+                let reduced = Reducer::new(ExtendedConfig::new(method, threshold)).reduce_app(&app);
                 let stored = reduced.total_stored();
                 assert!(
                     stored >= previous,

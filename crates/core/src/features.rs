@@ -289,6 +289,15 @@ impl MatchStats {
         obs.add(names::MATCH_ELIGIBLE, self.eligible as u64);
     }
 
+    /// Counts one comparison decided by a kernel that ran to completion
+    /// (no prefilter, no early abandon) and passes its verdict through.
+    pub(crate) fn full_kernel(&mut self, accepted: bool) -> bool {
+        self.comparisons += 1;
+        self.full_kernels += 1;
+        self.matches += usize::from(accepted);
+        accepted
+    }
+
     /// Candidates a linear first-match scan would have examined: the
     /// visited comparisons plus everything the index pruned.
     pub fn candidates(&self) -> usize {
@@ -376,14 +385,8 @@ impl MatchScratch {
         self.stats = MatchStats::default();
     }
 
-    /// Computes the incoming segment's features into the scratch buffers.
-    pub(crate) fn prepare_incoming(&mut self, method: Method, segment: &Segment) {
-        self.prepare_incoming_kind(feature_kind(method), segment);
-    }
-
-    /// Like [`MatchScratch::prepare_incoming`], but for an explicit
-    /// [`FeatureKind`] — the cached-predicate drivers of the extended
-    /// catalogue use feature kinds with no paper-method name (CDF 9/7).
+    /// Computes the incoming segment's features of the given kind into the
+    /// scratch buffers.
     pub(crate) fn prepare_incoming_kind(&mut self, kind: FeatureKind, segment: &Segment) {
         let MatchScratch {
             incoming,
@@ -801,13 +804,13 @@ mod tests {
     fn scratch_reuses_buffers_across_segments() {
         let (s0, s1, _) = figure2_segments();
         let mut scratch = MatchScratch::new();
-        scratch.prepare_incoming(Method::HaarWave, &s0);
+        scratch.prepare_incoming_kind(FeatureKind::Wavelet(WaveletKind::Haar), &s0);
         let first = scratch.clone_incoming();
-        scratch.prepare_incoming(Method::HaarWave, &s1);
+        scratch.prepare_incoming_kind(FeatureKind::Wavelet(WaveletKind::Haar), &s1);
         let second = scratch.clone_incoming();
         assert_ne!(first, second);
         // Refilling from s0 reproduces the first features exactly.
-        scratch.prepare_incoming(Method::HaarWave, &s0);
+        scratch.prepare_incoming_kind(FeatureKind::Wavelet(WaveletKind::Haar), &s0);
         assert_eq!(scratch.clone_incoming(), first);
         scratch.stats.comparisons = 7;
         scratch.reset_stats();

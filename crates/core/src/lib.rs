@@ -14,7 +14,8 @@
 //! * [`metric`] — the similarity predicates for the distance methods
 //!   (Section 3.2).
 //! * [`reducer`] — the stored-segments matching algorithm that turns a full
-//!   trace into a [`trace_model::ReducedAppTrace`].
+//!   trace into a [`trace_model::ReducedAppTrace`], one loop
+//!   ([`OnlineRankReducer`]) for every method of the catalogue.
 //! * [`features`] — cached per-segment features ([`SegmentFeatures`]),
 //!   reusable matching buffers ([`MatchScratch`]) and the allocation-free,
 //!   prefiltered, early-abandoning similarity kernels the reducer runs by
@@ -36,9 +37,11 @@
 //!   input format.
 //! * [`dtw`] / [`extended`] — the extended method catalogue (dynamic time
 //!   warping, cosine, normalized Euclidean, CDF 9/7 wavelet, delta-time
-//!   histograms) that the paper's conclusion lists as future work, plugged
-//!   into the same stored-segments algorithm via
-//!   [`reducer::reduce_rank_with_predicate`].
+//!   histograms) that the paper's conclusion lists as future work.  A
+//!   [`Reducer`] takes any [`ExtendedConfig`], so the extensions run
+//!   through the same loop and driver as the paper methods; custom
+//!   metrics plug into the naive loop via
+//!   [`reducer::reduce_app_with_predicate`].
 //!
 //! # Quick start
 //!
@@ -73,15 +76,15 @@ pub mod segmenter;
 pub mod source;
 
 pub use dtw::{dtw_distance, dtw_within, normalized_dtw_distance};
-pub use extended::{segments_match_extended, ExtendedConfig, ExtendedMethod, ExtendedReducer};
+pub use extended::{segments_match_extended, ExtendedConfig, ExtendedMethod};
 pub use features::{segments_match_cached, MatchScratch, MatchStats, SegmentFeatures};
 pub use index::CandidateSearch;
 pub use method::{Method, MethodConfig};
 pub use metric::segments_match;
 pub use parallel::{reduce_sections, SectionReducer, StreamStats};
 pub use reducer::{
-    reduce_app_reference, reduce_app_with_predicate, reduce_rank_reference,
-    reduce_rank_with_predicate, OnlineRankReducer, RankReduction, Reducer,
+    reduce_app_reference, reduce_app_with_predicate, reduce_rank_reference, OnlineRankReducer,
+    RankReduction, Reducer,
 };
 pub use segmenter::{segments_of_rank, OnlineSegmenter, SegmentationStats};
 pub use source::{AppItem, AppItemSource, RankItems};

@@ -7,38 +7,46 @@
 //! `(representative id, start time)` pair is appended to the execution log;
 //! otherwise the segment is stored as a new representative.
 //!
-//! The two iteration-based methods specialize this loop:
+//! [`OnlineRankReducer`] runs this loop for every method of the catalogue
+//! ([`ExtendedConfig`]: the nine paper methods and the five extensions).
+//! The rule that decides a match is picked once per rank:
 //!
-//! * `iter_k` stores the first `k` instances of every segment pattern and
-//!   maps later instances to the most recently stored one (the paper's
-//!   footnote: missing executions are filled in with the last collected
-//!   segment of the pattern);
-//! * `iter_avg` stores exactly one instance per pattern whose measurements
-//!   are the running average over all instances.
+//! * **Iteration.**  `iter_k` stores the first `k` instances of every
+//!   segment pattern and maps later instances to the most recently stored
+//!   one (the paper's footnote: missing executions are filled in with the
+//!   last collected segment of the pattern); `iter_avg` stores exactly one
+//!   instance per pattern whose measurements are the running average over
+//!   all instances.
+//! * **Cached features plus a kernel** ([`crate::features`]).  Each stored
+//!   representative carries a [`SegmentFeatures`] cache computed once at
+//!   store time, and the incoming segment's features are computed once per
+//!   segment into a reusable [`MatchScratch`].  The paper distance methods
+//!   search the candidate index ([`crate::index`]) with admissible
+//!   prefilters and early-abandoning kernels; `cosine`, `normEuclidean`
+//!   and `cdf97Wave` scan the bucket (`cosine` is scale-invariant, so no
+//!   duration window is admissible for it).
+//! * **Raw-segment predicate.**  `dtw` and `histogramDelta` read segment
+//!   structure no cache holds, so each comparison calls
+//!   [`segments_match_extended`] on the stored representative.
 //!
-//! Distance methods run through the cached-feature fast path
-//! ([`crate::features`]): each stored representative carries a
-//! [`SegmentFeatures`] cache computed once at store time, the incoming
-//! segment's features are computed once per segment into a reusable
-//! [`MatchScratch`], and admissible prefilters / early-abandoning kernels
-//! prune comparisons the similarity test would reject anyway.  The
-//! pre-fast-path behaviour is preserved verbatim as
-//! [`reduce_rank_reference`] for equivalence testing — both paths produce
-//! bit-identical [`ReducedRankTrace`]s.
+//! The naive loop — one allocating [`segments_match_extended`] call per
+//! comparison, no prefilters — survives as [`reduce_rank_reference`] for
+//! equivalence testing; both paths produce bit-identical
+//! [`ReducedRankTrace`]s.
 
 use std::collections::BTreeMap;
 
 use trace_model::{
-    AppTrace, RankTrace, ReducedAppTrace, ReducedRankTrace, Segment, SegmentExec, SegmentKey,
+    AppTrace, Rank, RankTrace, ReducedAppTrace, ReducedRankTrace, Segment, SegmentExec, SegmentKey,
     StoredSegment, Time,
 };
 
+use crate::extended::{segments_match_extended, CachedKernel, ExtendedConfig, ExtendedMethod};
 use crate::features::{
     segments_match_cached, FeatureKind, MatchScratch, MatchStats, SegmentFeatures,
 };
 use crate::index::{CandidateIndex, CandidateSearch};
 use crate::method::{Method, MethodConfig};
-use crate::metric::segments_match;
 use crate::parallel::SectionReducer;
 use crate::segmenter::{segments_of_rank_with_stats, SegmentationStats};
 use crate::source::RankItems;
@@ -101,6 +109,136 @@ impl AverageState {
     }
 }
 
+/// The iteration-based methods pick a match by its position in the
+/// same-shape bucket; they never run a similarity test.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Iteration {
+    /// `iter_k`: store the first `k` instances, then map to the last one.
+    K(usize),
+    /// `iter_avg`: one running-average instance per pattern.
+    Average,
+}
+
+impl Iteration {
+    /// The iteration rule of `config`, if it names an iteration method.
+    fn of(config: &ExtendedConfig) -> Option<Iteration> {
+        match config.method {
+            ExtendedMethod::Paper(Method::IterK) => Some(Iteration::K(
+                MethodConfig::new(Method::IterK, config.threshold).iter_k(),
+            )),
+            ExtendedMethod::Paper(Method::IterAvg) => Some(Iteration::Average),
+            _ => None,
+        }
+    }
+
+    /// The stored id an instance maps to, given its bucket in insertion
+    /// order (`None` stores the instance).
+    fn pick(self, ids: &[u32]) -> Option<u32> {
+        match self {
+            Iteration::Average => ids.first().copied(),
+            Iteration::K(k) if ids.len() >= k => ids.last().copied(),
+            Iteration::K(_) => None,
+        }
+    }
+}
+
+/// How a rank's reducer matches an incoming segment against the eligible
+/// stored representatives; picked once, when the reducer is built.
+#[derive(Clone, Copy, Debug)]
+enum MatchRule {
+    /// `iter_k` / `iter_avg`: position in the bucket decides.
+    Iteration(Iteration),
+    /// A paper distance method over cached features, searched through the
+    /// bucket's candidate index.
+    Indexed(MethodConfig),
+    /// A cached-feature kernel over the bucket in insertion order.
+    Scan(CachedKernel),
+    /// A raw-segment predicate against each stored representative.
+    Raw(ExtendedConfig),
+}
+
+impl MatchRule {
+    fn new(config: ExtendedConfig, search: CandidateSearch) -> MatchRule {
+        if let Some(iteration) = Iteration::of(&config) {
+            return MatchRule::Iteration(iteration);
+        }
+        match (CachedKernel::of(&config), search) {
+            (Some(CachedKernel::Paper(paper)), CandidateSearch::Indexed) => {
+                MatchRule::Indexed(paper)
+            }
+            (Some(kernel), _) => MatchRule::Scan(kernel),
+            (None, _) => MatchRule::Raw(config),
+        }
+    }
+
+    /// The features the rule reads from every segment.
+    fn feature_kind(self) -> FeatureKind {
+        match self {
+            MatchRule::Indexed(config) => CachedKernel::Paper(config).feature_kind(),
+            MatchRule::Scan(kernel) => kernel.feature_kind(),
+            MatchRule::Iteration(_) | MatchRule::Raw(_) => FeatureKind::None,
+        }
+    }
+}
+
+/// The reduced rank trace under construction: stored representatives, the
+/// execution log and, for `iter_avg`, each representative's running
+/// average.
+#[derive(Clone, Debug)]
+struct RankLog {
+    reduced: ReducedRankTrace,
+    averages: Option<Vec<AverageState>>,
+}
+
+impl RankLog {
+    fn new(rank: Rank, iteration: Option<Iteration>) -> Self {
+        RankLog {
+            reduced: ReducedRankTrace::new(rank),
+            averages: (iteration == Some(Iteration::Average)).then(Vec::new),
+        }
+    }
+
+    /// Logs one execution of `segment`: as an instance of representative
+    /// `matched`, or — when nothing matched — by storing `segment` as a new
+    /// representative, whose id is returned.
+    fn record(&mut self, matched: Option<u32>, mut segment: Segment) -> Option<u32> {
+        let start = segment.start;
+        if let Some(id) = matched {
+            self.reduced.execs.push(SegmentExec { segment: id, start });
+            self.reduced.stored[id as usize].represented += 1;
+            if let Some(averages) = &mut self.averages {
+                averages[id as usize].accumulate(&segment);
+            }
+            return None;
+        }
+        let id = self.reduced.stored.len() as u32;
+        if let Some(averages) = &mut self.averages {
+            averages.push(AverageState::new(&segment));
+        }
+        // Representatives are stored rebased; keep the absolute start only
+        // in the execution log.  Cached features are unaffected: they only
+        // read times that are already relative to the segment start.
+        segment.start = Time::ZERO;
+        self.reduced.stored.push(StoredSegment {
+            id,
+            segment,
+            represented: 1,
+        });
+        self.reduced.execs.push(SegmentExec { segment: id, start });
+        Some(id)
+    }
+
+    /// Finalizes the `iter_avg` running averages.
+    fn finish(mut self) -> ReducedRankTrace {
+        if let Some(averages) = &self.averages {
+            for (stored, average) in self.reduced.stored.iter_mut().zip(averages) {
+                average.finalize_into(&mut stored.segment);
+            }
+        }
+        self.reduced
+    }
+}
+
 /// One same-shape candidate bucket: stored-representative ids in insertion
 /// order plus (on the indexed path) the sorted/pivoted candidate index
 /// over their cached features.
@@ -108,11 +246,12 @@ impl AverageState {
 struct Bucket {
     /// Stored ids in insertion order — the paper's scan order.
     ids: Vec<u32>,
-    /// Candidate index; only maintained under [`CandidateSearch::Indexed`].
+    /// Candidate index; only maintained under [`MatchRule::Indexed`].
     index: CandidateIndex,
 }
 
-/// Online (segment-at-a-time) form of the stored-segments algorithm.
+/// Online (segment-at-a-time) form of the stored-segments algorithm, for
+/// every method of the catalogue.
 ///
 /// The reduction driver ([`crate::parallel::SectionReducer`]) drives this
 /// state machine for every input, so a rank is reduced identically whether
@@ -122,28 +261,26 @@ struct Bucket {
 /// log) and the per-key match buckets — never the full segment stream.
 #[derive(Clone, Debug)]
 pub struct OnlineRankReducer {
-    config: MethodConfig,
-    search: CandidateSearch,
-    reduced: ReducedRankTrace,
+    rule: MatchRule,
+    // The features `rule` reads, computed once per incoming segment.
+    kind: FeatureKind,
+    log: RankLog,
     // Stored-representative ids grouped by segment key (structural
     // identity); scanning a bucket in insertion order is equivalent to
     // the paper's linear scan restricted to eligible segments.  The
     // indexed path visits the same candidates minus the ones its window /
     // pivot bounds prove unmatchable — in the same order.
     buckets: BTreeMap<SegmentKey, Bucket>,
-    // Running averages for iter_avg, indexed by stored id.
-    averages: BTreeMap<u32, AverageState>,
     // Cached features per stored representative, indexed like
-    // `reduced.stored`.  Empty for the iteration-based methods, which
-    // never run a similarity kernel.
+    // `log.reduced.stored`.  Empty unless the rule reads features.
     features: Vec<SegmentFeatures>,
-    // Reusable buffers + counters for the cached matching kernels.
+    // Reusable buffers + counters for the matching kernels.
     scratch: MatchScratch,
 }
 
 impl OnlineRankReducer {
     /// Creates an empty reduction state for one rank.
-    pub fn new(config: MethodConfig, rank: trace_model::Rank) -> Self {
+    pub fn new(config: impl Into<ExtendedConfig>, rank: Rank) -> Self {
         OnlineRankReducer::with_scratch(config, rank, MatchScratch::new())
     }
 
@@ -153,8 +290,8 @@ impl OnlineRankReducer {
     /// [`OnlineRankReducer::finish_with_scratch`] so feature buffers are
     /// allocated once per worker.
     pub fn with_scratch(
-        config: MethodConfig,
-        rank: trace_model::Rank,
+        config: impl Into<ExtendedConfig>,
+        rank: Rank,
         scratch: MatchScratch,
     ) -> Self {
         OnlineRankReducer::with_scratch_and_search(
@@ -166,21 +303,23 @@ impl OnlineRankReducer {
     }
 
     /// Like [`OnlineRankReducer::with_scratch`] with an explicit candidate
-    /// search strategy (the linear scan exists for benchmarks and
-    /// equivalence tests; both strategies produce bit-identical output).
+    /// search strategy for the paper distance methods (the linear scan
+    /// exists for benchmarks and equivalence tests; both strategies
+    /// produce bit-identical output).
     pub fn with_scratch_and_search(
-        config: MethodConfig,
-        rank: trace_model::Rank,
+        config: impl Into<ExtendedConfig>,
+        rank: Rank,
         mut scratch: MatchScratch,
         search: CandidateSearch,
     ) -> Self {
+        let config = config.into();
         scratch.reset_stats();
+        let rule = MatchRule::new(config, search);
         OnlineRankReducer {
-            config,
-            search,
-            reduced: ReducedRankTrace::new(rank),
+            rule,
+            kind: rule.feature_kind(),
+            log: RankLog::new(rank, Iteration::of(&config)),
             buckets: BTreeMap::new(),
-            averages: BTreeMap::new(),
             features: Vec::new(),
             scratch,
         }
@@ -192,111 +331,82 @@ impl OnlineRankReducer {
     }
 
     /// Like [`OnlineRankReducer::push_segment`], recording an
-    /// [`trace_obs::Stage::Index`] span when a stored representative is
-    /// inserted into the candidate index.  Store events are rare (one per
+    /// [`trace_obs::Stage::Index`] span when a stored representative's
+    /// features are cached (and indexed).  Store events are rare (one per
     /// representative, not one per segment), so the clock is only read on
     /// that path; with a disabled shard this is identical to
     /// [`OnlineRankReducer::push_segment`].
     pub fn push_segment_obs(&mut self, segment: Segment, obs: &mut trace_obs::ObsShard) {
-        let key = segment.key();
-        let start = segment.start;
-        let config = self.config;
-        let is_distance = config.method.is_distance_method();
-        if is_distance {
+        let cached = self.kind != FeatureKind::None;
+        if cached {
             // Features are computed once per incoming segment and reused
             // for every candidate in the bucket — and, if the segment ends
             // up stored, cloned into its representative cache.
-            self.scratch.prepare_incoming(config.method, &segment);
+            self.scratch.prepare_incoming_kind(self.kind, &segment);
         }
-        let search = self.search;
-        let bucket = self.buckets.entry(key).or_default();
-
-        let matched: Option<u32> = match config.method {
-            Method::IterAvg => bucket.ids.first().copied(),
-            Method::IterK => {
-                if bucket.ids.len() >= config.iter_k() {
-                    bucket.ids.last().copied()
-                } else {
-                    None
-                }
-            }
-            _ => {
-                let MatchScratch {
+        let bucket = self.buckets.entry(segment.key()).or_default();
+        let MatchScratch {
+            incoming,
+            stats,
+            index_buf,
+            ..
+        } = &mut self.scratch;
+        let incoming = &*incoming;
+        let features = &self.features;
+        let matched = match self.rule {
+            MatchRule::Iteration(iteration) => iteration.pick(&bucket.ids),
+            MatchRule::Indexed(config) => {
+                stats.eligible += bucket.ids.len();
+                bucket.index.find_first(
+                    &config,
                     incoming,
+                    features,
                     stats,
                     index_buf,
-                    ..
-                } = &mut self.scratch;
-                let incoming = &*incoming;
-                let features = &self.features;
-                stats.eligible += bucket.ids.len();
-                match search {
-                    CandidateSearch::Indexed => bucket.index.find_first(
-                        &config,
-                        incoming,
-                        features,
-                        stats,
-                        index_buf,
-                        |id, stats| {
-                            segments_match_cached(&config, incoming, &features[id as usize], stats)
-                        },
-                    ),
-                    CandidateSearch::LinearScan => bucket.ids.iter().copied().find(|&id| {
+                    |id, stats| {
                         segments_match_cached(&config, incoming, &features[id as usize], stats)
-                    }),
-                }
+                    },
+                )
+            }
+            MatchRule::Scan(kernel) => {
+                stats.eligible += bucket.ids.len();
+                bucket
+                    .ids
+                    .iter()
+                    .copied()
+                    .find(|&id| kernel.accepts(incoming, &features[id as usize], stats))
+            }
+            MatchRule::Raw(config) => {
+                stats.eligible += bucket.ids.len();
+                let stored = &self.log.reduced.stored;
+                bucket.ids.iter().copied().find(|&id| {
+                    let representative = &stored[id as usize].segment;
+                    stats.full_kernel(segments_match_extended(&config, &segment, representative))
+                })
             }
         };
 
-        match matched {
-            Some(id) => {
-                self.reduced.execs.push(SegmentExec { segment: id, start });
-                self.reduced.stored[id as usize].represented += 1;
-                if config.method == Method::IterAvg {
-                    self.averages
-                        .get_mut(&id)
-                        .expect("iter_avg representative must have an accumulator")
-                        .accumulate(&segment);
+        if let Some(id) = self.log.record(matched, segment) {
+            bucket.ids.push(id);
+            if cached {
+                let span = obs.start();
+                self.features.push(self.scratch.clone_incoming());
+                if let MatchRule::Indexed(config) = self.rule {
+                    bucket.index.insert(id, &config, &self.features);
                 }
-            }
-            None => {
-                let id = self.reduced.stored.len() as u32;
-                bucket.ids.push(id);
-                if config.method == Method::IterAvg {
-                    self.averages.insert(id, AverageState::new(&segment));
-                }
-                if is_distance {
-                    let span = obs.start();
-                    self.features.push(self.scratch.clone_incoming());
-                    if search == CandidateSearch::Indexed {
-                        bucket.index.insert(id, &config, &self.features);
-                    }
-                    obs.end(trace_obs::Stage::Index, span);
-                }
-                let mut stored_segment = segment;
-                // Representatives are stored rebased; keep the absolute
-                // start only in the execution log.  The cached features are
-                // unaffected: they only read times that are already
-                // relative to the segment start.
-                stored_segment.start = Time::ZERO;
-                self.reduced.stored.push(StoredSegment {
-                    id,
-                    segment: stored_segment,
-                    represented: 1,
-                });
-                self.reduced.execs.push(SegmentExec { segment: id, start });
+                obs.end(trace_obs::Stage::Index, span);
             }
         }
     }
 
     /// Number of stored representatives so far.
     pub fn stored_count(&self) -> usize {
-        self.reduced.stored_count()
+        self.log.reduced.stored_count()
     }
 
     /// Number of segment executions so far.
     pub fn exec_count(&self) -> usize {
-        self.reduced.exec_count()
+        self.log.reduced.exec_count()
     }
 
     /// The similarity-matching counters accumulated by this reducer.
@@ -312,46 +422,43 @@ impl OnlineRankReducer {
 
     /// Like [`OnlineRankReducer::finish`], but also hands the scratch back
     /// so the caller can thread it into the next rank's reducer.
-    pub fn finish_with_scratch(mut self) -> (ReducedRankTrace, MatchScratch) {
-        if self.config.method == Method::IterAvg {
-            for stored in &mut self.reduced.stored {
-                if let Some(avg) = self.averages.get(&stored.id) {
-                    avg.finalize_into(&mut stored.segment);
-                }
-            }
-        }
-        (self.reduced, self.scratch)
+    pub fn finish_with_scratch(self) -> (ReducedRankTrace, MatchScratch) {
+        (self.log.finish(), self.scratch)
     }
 }
 
-/// Reduces traces with a configured similarity method.
+/// Reduces traces with a configured similarity method from the catalogue.
 #[derive(Clone, Copy, Debug)]
 pub struct Reducer {
-    config: MethodConfig,
+    config: ExtendedConfig,
     search: CandidateSearch,
 }
 
 impl Reducer {
-    /// Creates a reducer for the given method configuration (using the
-    /// default [`CandidateSearch::Indexed`] candidate search).
-    pub fn new(config: MethodConfig) -> Self {
+    /// Creates a reducer for the given method configuration (paper or
+    /// extended; the paper distance methods use the default
+    /// [`CandidateSearch::Indexed`] candidate search).
+    pub fn new(config: impl Into<ExtendedConfig>) -> Self {
         Reducer::with_search(config, CandidateSearch::default())
     }
 
     /// Creates a reducer with an explicit candidate-search strategy.  The
     /// linear scan exists so benches and tests can measure/verify the
     /// index against PR 5's behaviour; both strategies are bit-identical.
-    pub fn with_search(config: MethodConfig, search: CandidateSearch) -> Self {
-        Reducer { config, search }
+    pub fn with_search(config: impl Into<ExtendedConfig>, search: CandidateSearch) -> Self {
+        Reducer {
+            config: config.into(),
+            search,
+        }
     }
 
-    /// Convenience constructor using the paper's default threshold.
-    pub fn with_default_threshold(method: Method) -> Self {
-        Reducer::new(MethodConfig::with_default_threshold(method))
+    /// Convenience constructor using the method's default threshold.
+    pub fn with_default_threshold(method: impl Into<ExtendedMethod>) -> Self {
+        Reducer::new(ExtendedConfig::with_default_threshold(method.into()))
     }
 
     /// The method configuration in use.
-    pub fn config(&self) -> MethodConfig {
+    pub fn config(&self) -> ExtendedConfig {
         self.config
     }
 
@@ -388,248 +495,102 @@ impl Reducer {
     }
 }
 
-/// Naive reference implementation of the stored-segments reduction: the
-/// pre-fast-path behaviour, comparing the incoming segment against each
-/// stored representative with the allocating [`segments_match`] predicate
-/// (measurement vectors and wavelet transforms recomputed per comparison,
-/// no prefilters, no early abandoning).
+/// Naive reference implementation of the stored-segments reduction: each
+/// incoming segment is compared against each eligible stored
+/// representative with the allocating [`segments_match_extended`]
+/// predicate (measurement vectors and wavelet transforms recomputed per
+/// comparison, no prefilters, no early abandoning, no index).
 ///
 /// Kept — and exported — purely so property tests and benches can assert
-/// that the cached fast path produces bit-identical output and measure the
+/// that [`Reducer`] produces bit-identical output and measure the
 /// speedup; production callers should use [`Reducer`].
-pub fn reduce_rank_reference(config: MethodConfig, trace: &RankTrace) -> RankReduction {
-    let (segments, segmentation) = segments_of_rank_with_stats(trace);
-    let mut reduced = ReducedRankTrace::new(trace.rank);
-    let mut buckets: BTreeMap<SegmentKey, Vec<u32>> = BTreeMap::new();
-    let mut averages: BTreeMap<u32, AverageState> = BTreeMap::new();
-    let mut matching = MatchStats::default();
-
-    for segment in segments {
-        let key = segment.key();
-        let start = segment.start;
-        let bucket = buckets.entry(key).or_default();
-
-        let matched: Option<u32> = match config.method {
-            Method::IterAvg => bucket.first().copied(),
-            Method::IterK => {
-                if bucket.len() >= config.iter_k() {
-                    bucket.last().copied()
-                } else {
-                    None
-                }
-            }
-            _ => {
-                matching.eligible += bucket.len();
-                bucket.iter().copied().find(|&id| {
-                    let stored = &reduced.stored[id as usize].segment;
-                    matching.comparisons += 1;
-                    matching.full_kernels += 1;
-                    let accepted = segments_match(&config, &segment, stored);
-                    if accepted {
-                        matching.matches += 1;
-                    }
-                    accepted
-                })
-            }
-        };
-
-        match matched {
-            Some(id) => {
-                reduced.execs.push(SegmentExec { segment: id, start });
-                reduced.stored[id as usize].represented += 1;
-                if config.method == Method::IterAvg {
-                    averages
-                        .get_mut(&id)
-                        .expect("iter_avg representative must have an accumulator")
-                        .accumulate(&segment);
-                }
-            }
-            None => {
-                let id = reduced.stored.len() as u32;
-                bucket.push(id);
-                if config.method == Method::IterAvg {
-                    averages.insert(id, AverageState::new(&segment));
-                }
-                let mut stored_segment = segment;
-                stored_segment.start = Time::ZERO;
-                reduced.stored.push(StoredSegment {
-                    id,
-                    segment: stored_segment,
-                    represented: 1,
-                });
-                reduced.execs.push(SegmentExec { segment: id, start });
-            }
-        }
-    }
-
-    if config.method == Method::IterAvg {
-        for stored in &mut reduced.stored {
-            if let Some(avg) = averages.get(&stored.id) {
-                avg.finalize_into(&mut stored.segment);
-            }
-        }
-    }
-
-    RankReduction {
-        reduced,
-        segmentation,
-        matching,
-    }
+pub fn reduce_rank_reference(
+    config: impl Into<ExtendedConfig>,
+    trace: &RankTrace,
+) -> RankReduction {
+    let config = config.into();
+    reduce_rank_naive(trace, Iteration::of(&config), |a, b| {
+        segments_match_extended(&config, a, b)
+    })
 }
 
 /// Naive reference reduction of a whole application trace (see
 /// [`reduce_rank_reference`]).
-pub fn reduce_app_reference(config: MethodConfig, app: &AppTrace) -> ReducedAppTrace {
-    let mut reduced = ReducedAppTrace::for_app(app);
-    for rank in &app.ranks {
-        reduced
-            .ranks
-            .push(reduce_rank_reference(config, rank).reduced);
-    }
-    reduced
-}
-
-/// Reduces one rank trace with a caller-supplied similarity predicate.
-///
-/// This is the extension point used by the extended method catalogue
-/// ([`crate::extended`]): the stored-segments algorithm is exactly the
-/// paper's (same-shape eligibility, scan stored representatives in insertion
-/// order, store a new representative on mismatch), but the similarity test
-/// between a new segment and a stored representative is `predicate(new,
-/// stored)` instead of one of the nine paper methods.
-pub fn reduce_rank_with_predicate<F>(trace: &RankTrace, predicate: F) -> RankReduction
-where
-    F: Fn(&Segment, &Segment) -> bool,
-{
-    let (segments, segmentation) = segments_of_rank_with_stats(trace);
-    let mut reduced = ReducedRankTrace::new(trace.rank);
-    let mut buckets: BTreeMap<SegmentKey, Vec<u32>> = BTreeMap::new();
-    let mut matching = MatchStats::default();
-
-    for segment in segments {
-        let key = segment.key();
-        let start = segment.start;
-        let bucket = buckets.entry(key).or_default();
-
-        matching.eligible += bucket.len();
-        let matched = bucket.iter().copied().find(|&id| {
-            let stored = &reduced.stored[id as usize].segment;
-            matching.comparisons += 1;
-            matching.full_kernels += 1;
-            let accepted = predicate(&segment, stored);
-            if accepted {
-                matching.matches += 1;
-            }
-            accepted
-        });
-
-        match matched {
-            Some(id) => {
-                reduced.execs.push(SegmentExec { segment: id, start });
-                reduced.stored[id as usize].represented += 1;
-            }
-            None => {
-                let id = reduced.stored.len() as u32;
-                bucket.push(id);
-                let mut stored_segment = segment;
-                stored_segment.start = Time::ZERO;
-                reduced.stored.push(StoredSegment {
-                    id,
-                    segment: stored_segment,
-                    represented: 1,
-                });
-                reduced.execs.push(SegmentExec { segment: id, start });
-            }
-        }
-    }
-
-    RankReduction {
-        reduced,
-        segmentation,
-        matching,
-    }
+pub fn reduce_app_reference(config: impl Into<ExtendedConfig>, app: &AppTrace) -> ReducedAppTrace {
+    let config = config.into();
+    reduce_app_naive(app, Iteration::of(&config), |a, b| {
+        segments_match_extended(&config, a, b)
+    })
 }
 
 /// Reduces every rank of an application trace with a caller-supplied
-/// similarity predicate (see [`reduce_rank_with_predicate`]).
+/// similarity predicate.
+///
+/// This is the custom-metric entry point: the stored-segments algorithm is
+/// exactly the paper's (same-shape eligibility, scan stored representatives
+/// in insertion order, store a new representative on mismatch), but the
+/// similarity test between a new segment and a stored representative is
+/// `predicate(new, stored)` instead of a catalogue method.  It runs the
+/// naive loop of [`reduce_rank_reference`].
 pub fn reduce_app_with_predicate<F>(app: &AppTrace, predicate: F) -> ReducedAppTrace
 where
     F: Fn(&Segment, &Segment) -> bool,
 {
+    reduce_app_naive(app, None, predicate)
+}
+
+fn reduce_app_naive<F>(
+    app: &AppTrace,
+    iteration: Option<Iteration>,
+    predicate: F,
+) -> ReducedAppTrace
+where
+    F: Fn(&Segment, &Segment) -> bool,
+{
     let mut reduced = ReducedAppTrace::for_app(app);
-    for rank in &app.ranks {
-        reduced
-            .ranks
-            .push(reduce_rank_with_predicate(rank, &predicate).reduced);
-    }
+    reduced.ranks = app
+        .ranks
+        .iter()
+        .map(|rank| reduce_rank_naive(rank, iteration, &predicate).reduced)
+        .collect();
     reduced
 }
 
-/// Reduces one rank trace with a predicate over *cached features* instead
-/// of raw segments: the same stored-segments candidate path as the paper
-/// methods (one feature computation per incoming segment, one per stored
-/// representative — never one per comparison).
-///
-/// This is how the extended catalogue's measurement/wavelet-space methods
-/// (`cosine`, `normEuclidean`, `cdf97Wave`) run; methods that read raw
-/// segment structure (DTW's banded warping, the delta-time histograms)
-/// stay on [`reduce_rank_with_predicate`].
-pub(crate) fn reduce_rank_with_cached_features<F>(
+/// The naive stored-segments loop: iteration methods pick by position,
+/// everything else tests `predicate(incoming, stored)` against each
+/// eligible representative in insertion order.
+fn reduce_rank_naive<F>(
     trace: &RankTrace,
-    kind: FeatureKind,
+    iteration: Option<Iteration>,
     predicate: F,
 ) -> RankReduction
 where
-    F: Fn(&SegmentFeatures, &SegmentFeatures) -> bool,
+    F: Fn(&Segment, &Segment) -> bool,
 {
     let (segments, segmentation) = segments_of_rank_with_stats(trace);
-    let mut reduced = ReducedRankTrace::new(trace.rank);
+    let mut log = RankLog::new(trace.rank, iteration);
     let mut buckets: BTreeMap<SegmentKey, Vec<u32>> = BTreeMap::new();
-    let mut features: Vec<SegmentFeatures> = Vec::new();
-    let mut scratch = MatchScratch::new();
     let mut matching = MatchStats::default();
 
     for segment in segments {
-        let key = segment.key();
-        let start = segment.start;
-        scratch.prepare_incoming_kind(kind, &segment);
-        let bucket = buckets.entry(key).or_default();
-
-        let incoming = &scratch.incoming;
-        matching.eligible += bucket.len();
-        let matched = bucket.iter().copied().find(|&id| {
-            matching.comparisons += 1;
-            matching.full_kernels += 1;
-            let accepted = predicate(incoming, &features[id as usize]);
-            if accepted {
-                matching.matches += 1;
-            }
-            accepted
-        });
-
-        match matched {
-            Some(id) => {
-                reduced.execs.push(SegmentExec { segment: id, start });
-                reduced.stored[id as usize].represented += 1;
-            }
+        let bucket = buckets.entry(segment.key()).or_default();
+        let matched = match iteration {
+            Some(iteration) => iteration.pick(bucket),
             None => {
-                let id = reduced.stored.len() as u32;
-                bucket.push(id);
-                features.push(scratch.clone_incoming());
-                let mut stored_segment = segment;
-                stored_segment.start = Time::ZERO;
-                reduced.stored.push(StoredSegment {
-                    id,
-                    segment: stored_segment,
-                    represented: 1,
-                });
-                reduced.execs.push(SegmentExec { segment: id, start });
+                matching.eligible += bucket.len();
+                bucket.iter().copied().find(|&id| {
+                    let stored = &log.reduced.stored[id as usize].segment;
+                    matching.full_kernel(predicate(&segment, stored))
+                })
             }
+        };
+        if let Some(id) = log.record(matched, segment) {
+            bucket.push(id);
         }
     }
 
     RankReduction {
-        reduced,
+        reduced: log.finish(),
         segmentation,
         matching,
     }
@@ -638,7 +599,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trace_model::{ContextId, Event, Rank, RegionId};
+    use crate::metric::segments_match;
+    use trace_model::{ContextId, Event, RegionId};
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
     /// A rank trace with `n` iterations of one loop whose event duration is
@@ -851,7 +813,7 @@ mod tests {
     #[test]
     fn predicate_reducer_with_always_true_matches_like_iter_avg_structure() {
         let rt = looped_trace(&[1000, 2000, 3000, 4000]);
-        let r = reduce_rank_with_predicate(&rt, |_, _| true).reduced;
+        let r = reduce_rank_naive(&rt, None, |_, _| true).reduced;
         assert_eq!(r.stored_count(), 1);
         assert_eq!(r.exec_count(), 4);
         assert_eq!(r.stored[0].represented, 4);
@@ -860,7 +822,7 @@ mod tests {
     #[test]
     fn predicate_reducer_with_always_false_stores_every_instance() {
         let rt = looped_trace(&[1000; 6]);
-        let r = reduce_rank_with_predicate(&rt, |_, _| false).reduced;
+        let r = reduce_rank_naive(&rt, None, |_, _| false).reduced;
         assert_eq!(r.stored_count(), 6);
         assert_eq!(r.exec_count(), 6);
         assert_eq!(r.degree_of_matching(), 0.0);
@@ -879,7 +841,7 @@ mod tests {
             ));
             rt.end_segment(ContextId(ctx), Time::from_nanos(base + 60));
         }
-        let r = reduce_rank_with_predicate(&rt, |_, _| true).reduced;
+        let r = reduce_rank_naive(&rt, None, |_, _| true).reduced;
         assert_eq!(r.stored_count(), 2);
     }
 

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use trace_obs::Recorder;
 use trace_reduce::{
     reduce_app_reference, reduce_app_with_predicate, reduce_rank_reference, segments_match,
-    ExtendedConfig, ExtendedMethod, ExtendedReducer, Method, MethodConfig, Reducer,
+    ExtendedConfig, ExtendedMethod, Method, MethodConfig, Reducer,
 };
 use trace_sim::specgen::{trace_from_specs, SegmentSpec};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
@@ -90,8 +90,8 @@ fn extended_dtw_early_abandon_does_not_change_reductions() {
     use trace_reduce::normalized_dtw_distance;
     let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
     for threshold in [0.01, 0.1, 0.2, 0.6] {
-        let fast = ExtendedReducer::new(ExtendedConfig::new(ExtendedMethod::Dtw, threshold))
-            .reduce_app(&app);
+        let fast =
+            Reducer::new(ExtendedConfig::new(ExtendedMethod::Dtw, threshold)).reduce_app(&app);
         // Naive witness: the pre-abandon formulation — full band-limited
         // DTW distance compared against the scaled threshold.
         let naive = reduce_app_with_predicate(&app, |a, b| {

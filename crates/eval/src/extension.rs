@@ -18,7 +18,7 @@ use trace_clustering::{
 };
 use trace_model::codec::encode_app_trace;
 use trace_model::AppTrace;
-use trace_reduce::{ExtendedConfig, ExtendedMethod, ExtendedReducer, Method};
+use trace_reduce::{ExtendedConfig, ExtendedMethod, Method, Reducer};
 use trace_sampling::{
     reduce_by_periodicity, sample_app, trace_confidence, AdaptiveConfig, PeriodicityConfig,
     SamplingPolicy,
@@ -118,7 +118,7 @@ pub struct ExtensionEvaluation {
 pub fn evaluate_technique(full: &AppTrace, technique: ExtensionTechnique) -> ExtensionEvaluation {
     let (size_percent, approx) = match technique {
         ExtensionTechnique::Similarity(config) => {
-            let reduced = ExtendedReducer::new(config).reduce_app(full);
+            let reduced = Reducer::new(config).reduce_app(full);
             (file_size_percent(full, &reduced), reduced.reconstruct())
         }
         ExtensionTechnique::Sampling(policy) => {

@@ -1,9 +1,11 @@
 //! Property: the worker count never changes a reduction.
 //!
-//! Random multi-rank traces are reduced through the one entry point from
-//! every input kind — a text stream, monolithic v1 bytes, a chunked
-//! container and the in-memory trace — on 1, 2, 3, 8 and 64 workers.  Every
-//! output must equal the naive reference reducer, and every counter except
+//! Random multi-rank traces are reduced with every method of the catalogue
+//! (the nine paper methods and the five extensions, each at its default
+//! threshold) through the one entry point from every input kind — a text
+//! stream, monolithic v1 bytes, a chunked container and the in-memory
+//! trace — on 1, 2, 3, 8 and 64 workers.  Every output must equal the
+//! naive reference reducer, and every counter except
 //! the two peaks (which sum per-worker maxima by design) must be identical
 //! across worker counts and input kinds, matching counters included.
 
@@ -12,7 +14,7 @@ use trace_container::{encode_app_container, ChunkSpec};
 use trace_format::write_app_trace;
 use trace_model::codec::encode_app_trace;
 use trace_obs::Recorder;
-use trace_reduce::{reduce_app_reference, Method, MethodConfig, Reducer};
+use trace_reduce::{reduce_app_reference, ExtendedConfig, Reducer};
 use trace_sim::specgen::trace_from_specs;
 use trace_stream::{reduce_input, StreamStats, TraceInput};
 
@@ -46,8 +48,8 @@ proptest! {
             ("in-memory", TraceInput::App(&app)),
         ];
 
-        for method in Method::ALL {
-            let config = MethodConfig::with_default_threshold(method);
+        for config in ExtendedConfig::all_defaults() {
+            let method = config.label();
             let reference = reduce_app_reference(config, &app);
             let mut counters: Option<StreamStats> = None;
             for (kind, input) in inputs {

@@ -20,9 +20,7 @@ use trace_reduction::eval::criteria::{
     approximation_distance_us, file_size_percent, trends_retained,
 };
 use trace_reduction::model::Segment;
-use trace_reduction::reduce::{
-    reduce_app_with_predicate, ExtendedMethod, ExtendedReducer, Method, Reducer,
-};
+use trace_reduction::reduce::{reduce_app_with_predicate, ExtendedMethod, Method, Reducer};
 use trace_reduction::sim::{SizePreset, Workload, WorkloadKind};
 
 /// A deliberately coarse user-defined metric: two segments are similar when
@@ -68,7 +66,7 @@ fn main() {
     // An extension method from the built-in catalogue.
     report(
         "dtw(0.2)",
-        ExtendedReducer::with_default_threshold(ExtendedMethod::Dtw).reduce_app(&full),
+        Reducer::with_default_threshold(ExtendedMethod::Dtw).reduce_app(&full),
     );
     // The user-defined metric.
     report(

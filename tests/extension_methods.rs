@@ -6,7 +6,7 @@
 use trace_reduction::eval::criteria::{
     approximation_distance_us, file_size_percent, trends_retained,
 };
-use trace_reduction::reduce::{ExtendedConfig, ExtendedMethod, ExtendedReducer, Method, Reducer};
+use trace_reduction::reduce::{ExtendedConfig, ExtendedMethod, Method, Reducer};
 use trace_reduction::sim::{SizePreset, Workload, WorkloadKind};
 
 fn generate(kind: WorkloadKind) -> trace_reduction::model::AppTrace {
@@ -24,7 +24,7 @@ fn every_extension_method_completes_the_pipeline_on_every_category() {
     for kind in kinds {
         let full = generate(kind);
         for method in ExtendedMethod::EXTENSIONS {
-            let reduced = ExtendedReducer::with_default_threshold(method).reduce_app(&full);
+            let reduced = Reducer::with_default_threshold(method).reduce_app(&full);
             let percent = file_size_percent(&full, &reduced);
             assert!(
                 percent > 0.0 && percent < 120.0,
@@ -48,7 +48,7 @@ fn cdf97_wavelet_behaves_like_the_paper_wavelets_on_regular_benchmarks() {
     // trends.
     let full = generate(WorkloadKind::LateSender);
     let avg = Reducer::with_default_threshold(Method::AvgWave).reduce_app(&full);
-    let cdf = ExtendedReducer::with_default_threshold(ExtendedMethod::Cdf97Wave).reduce_app(&full);
+    let cdf = Reducer::with_default_threshold(ExtendedMethod::Cdf97Wave).reduce_app(&full);
     let avg_size = file_size_percent(&full, &avg);
     let cdf_size = file_size_percent(&full, &cdf);
     assert!(
@@ -63,8 +63,7 @@ fn cdf97_wavelet_behaves_like_the_paper_wavelets_on_regular_benchmarks() {
 fn dtw_retains_trends_on_regular_benchmarks_at_its_default_threshold() {
     for kind in [WorkloadKind::LateSender, WorkloadKind::EarlyGather] {
         let full = generate(kind);
-        let reduced =
-            ExtendedReducer::with_default_threshold(ExtendedMethod::Dtw).reduce_app(&full);
+        let reduced = Reducer::with_default_threshold(ExtendedMethod::Dtw).reduce_app(&full);
         let trend = trends_retained(&full, &reduced.reconstruct());
         assert!(trend.retained, "{kind:?}: {:?}", trend.discrepancies);
     }
@@ -80,7 +79,7 @@ fn loosening_the_threshold_of_an_extension_never_stores_more_segments() {
     for method in ExtendedMethod::EXTENSIONS {
         let mut previous = usize::MAX;
         for threshold in method.threshold_grid() {
-            let stored = ExtendedReducer::new(ExtendedConfig::new(method, threshold))
+            let stored = Reducer::new(ExtendedConfig::new(method, threshold))
                 .reduce_app(&full)
                 .total_stored();
             assert!(
@@ -102,7 +101,7 @@ fn normalized_euclidean_matches_at_least_as_much_as_plain_euclidean() {
         0.2,
     ))
     .reduce_app(&full);
-    let normalized = ExtendedReducer::new(ExtendedConfig::new(
+    let normalized = Reducer::new(ExtendedConfig::new(
         ExtendedMethod::NormalizedEuclidean,
         0.2,
     ))
@@ -120,8 +119,8 @@ fn paper_methods_are_reachable_through_the_extended_catalogue() {
     let full = generate(WorkloadKind::EarlyGather);
     for method in Method::ALL {
         let direct = Reducer::with_default_threshold(method).reduce_app(&full);
-        let wrapped = ExtendedReducer::with_default_threshold(ExtendedMethod::Paper(method))
-            .reduce_app(&full);
+        let wrapped =
+            Reducer::with_default_threshold(ExtendedMethod::Paper(method)).reduce_app(&full);
         assert_eq!(direct.total_stored(), wrapped.total_stored(), "{method}");
         assert_eq!(direct.total_execs(), wrapped.total_execs(), "{method}");
     }
