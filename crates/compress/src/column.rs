@@ -23,10 +23,16 @@
 //! varints).  Their value is what the LZ backend sees afterwards: in
 //! `delta-lz`, the homogeneous streams turn repeating trace structure into
 //! byte runs the match finder can fold away, measurably beating LZ over
-//! raw rows (EXPERIMENTS.md Table 5).  The inverse transform reconstructs
-//! the row payload byte-for-byte: the row codec's varints are canonical,
-//! so decode → re-encode is the identity on every payload the container
-//! writer produces.
+//! raw rows (EXPERIMENTS.md Table 5).
+//!
+//! Reading a `RECORDS` payload does not rebuild rows: [`RecordColumns`]
+//! owns the columnar bytes and yields one [`TraceRecord`] per call straight
+//! from the streams, which is how the container reader ingests `delta` and
+//! `delta-lz` chunks.  [`column_decode`] still inverts the transform to row
+//! bytes (for `decompress` callers) by writing each record the cursor yields
+//! back with the row codec; the row codec's varints are canonical, so
+//! decode → re-encode is the identity on every payload the container writer
+//! produces.
 //!
 //! Numeric streams use *wrapping* deltas (`value - last` in two's
 //! complement), which is bijective on `u64` and therefore total: no input
@@ -34,10 +40,10 @@
 //! exact svarint delta rule (including the per-chunk and per-segment clock
 //! restarts) so the reconstructed deltas match the originals bit for bit.
 
-use trace_model::codec::varint::{read_i64, read_u64, write_i64, write_u64};
+use trace_model::codec::varint::{read_u64, write_i64, write_u64, zigzag_decode};
 use trace_model::codec::{
-    read_exec, read_record, read_stored_segment, write_exec, write_record, write_stored_segment,
-    CodecError, Reader,
+    narrow_u32, read_exec, read_record, read_stored_segment, write_exec, write_record,
+    write_stored_segment, CodecError, Reader,
 };
 use trace_model::{
     CollectiveOp, CommInfo, ContextId, Event, Rank, RegionId, Segment, SegmentExec, StoredSegment,
@@ -119,24 +125,92 @@ impl DeltaWriter {
     }
 }
 
+/// One stream of a columnar payload: the unread byte range `pos..end` of
+/// the buffer the payload lives in.  Streams hold offsets, not borrowed
+/// slices, so a [`RecordColumns`] cursor can own its payload.
+///
+/// The stream readers are `#[inline(always)]`: each record runs up to ten
+/// of them, and as plain calls they made column decode about 1.4× slower.
+#[derive(Clone, Copy, Debug)]
+struct Stream {
+    pos: usize,
+    end: usize,
+}
+
+impl Stream {
+    /// Reads one unsigned varint off the unread bytes of `buf`.  One-byte
+    /// values — the zero and small deltas most columns are made of — skip
+    /// the general decoder, which handles every longer (or truncated)
+    /// varint exactly as the row codec does.
+    #[inline(always)]
+    fn varint(&mut self, buf: &[u8]) -> Result<u64, CompressError> {
+        if let Some(&byte) = buf.get(self.pos).filter(|_| self.pos < self.end) {
+            if byte < 0x80 {
+                self.pos += 1;
+                return Ok(u64::from(byte));
+            }
+        }
+        // A range outside `buf` degrades to an empty stream, which the row
+        // codec reports as a typed truncation.
+        let mut reader = Reader::new(buf.get(self.pos..self.end).unwrap_or(&[]));
+        let value = read_u64(&mut reader)?;
+        self.pos = self.end - reader.remaining();
+        Ok(value)
+    }
+
+    /// Reads one zig-zag signed varint.
+    #[inline(always)]
+    fn svarint(&mut self, buf: &[u8]) -> Result<i64, CompressError> {
+        Ok(zigzag_decode(self.varint(buf)?))
+    }
+
+    /// Reads one byte off a raw byte stream (a tags column).
+    #[inline(always)]
+    fn byte(&mut self, buf: &[u8], what: &'static str) -> Result<u8, CompressError> {
+        let byte = buf
+            .get(self.pos)
+            .filter(|_| self.pos < self.end)
+            .copied()
+            .ok_or(CompressError::Truncated { what })?;
+        self.pos += 1;
+        Ok(byte)
+    }
+
+    /// Requires the stream to be fully consumed once all items are read.
+    fn finish(&self, what: &'static str) -> Result<(), CompressError> {
+        if self.pos < self.end {
+            return Err(CompressError::TrailingBytes {
+                what,
+                bytes: self.end - self.pos,
+            });
+        }
+        Ok(())
+    }
+}
+
 /// Read half of a wrapping-delta stream.
-struct DeltaReader<'a> {
-    reader: Reader<'a>,
+struct DeltaReader {
+    stream: Stream,
     last: u64,
 }
 
-impl<'a> DeltaReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        DeltaReader {
-            reader: Reader::new(bytes),
-            last: 0,
-        }
+impl DeltaReader {
+    fn new(stream: Stream) -> Self {
+        DeltaReader { stream, last: 0 }
     }
 
-    fn next(&mut self) -> Result<u64, CompressError> {
-        let delta = read_i64(&mut self.reader)?;
+    #[inline(always)]
+    fn next(&mut self, buf: &[u8]) -> Result<u64, CompressError> {
+        let delta = self.stream.svarint(buf)?;
         self.last = self.last.wrapping_add(delta as u64);
         Ok(self.last)
+    }
+
+    /// [`DeltaReader::next`] for a 32-bit `field`: a value that does not
+    /// fit is a typed error, not a truncation.
+    #[inline(always)]
+    fn next_u32(&mut self, buf: &[u8], field: &'static str) -> Result<u32, CompressError> {
+        Ok(narrow_u32(self.next(buf)?, field)?)
     }
 }
 
@@ -167,21 +241,22 @@ impl TimeWriter {
 }
 
 /// Read half of a time stream, with the row codec's negative-time check.
-struct TimeReader<'a> {
-    reader: Reader<'a>,
+struct TimeReader {
+    stream: Stream,
     prev: Time,
 }
 
-impl<'a> TimeReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
+impl TimeReader {
+    fn new(stream: Stream) -> Self {
         TimeReader {
-            reader: Reader::new(bytes),
+            stream,
             prev: Time::ZERO,
         }
     }
 
-    fn next(&mut self) -> Result<Time, CompressError> {
-        let delta = read_i64(&mut self.reader)?;
+    #[inline(always)]
+    fn next(&mut self, buf: &[u8]) -> Result<Time, CompressError> {
+        let delta = self.stream.svarint(buf)?;
         // checked_add, not +: a crafted stream can pair deltas that
         // overflow i64, and totality on untrusted input is part of this
         // crate's contract (debug builds would otherwise panic).
@@ -200,13 +275,6 @@ impl<'a> TimeReader<'a> {
     }
 }
 
-/// Reads one byte off a raw byte stream (a tags column).
-fn next_tag(reader: &mut Reader<'_>, what: &'static str) -> Result<u8, CompressError> {
-    reader
-        .read_byte()
-        .map_err(|_| CompressError::Truncated { what })
-}
-
 /// Serializes `count` plus the given streams in order.
 fn write_streams(count: u64, streams: &[&[u8]]) -> Vec<u8> {
     let total: usize = streams.iter().map(|s| s.len()).sum();
@@ -220,10 +288,11 @@ fn write_streams(count: u64, streams: &[&[u8]]) -> Vec<u8> {
 }
 
 /// Reads `N` length-prefixed streams, requiring them to exhaust the input.
-fn read_streams<const N: usize>(payload: &[u8]) -> Result<(u64, [&[u8]; N]), CompressError> {
+/// The streams are returned as byte ranges of `payload`.
+fn read_streams<const N: usize>(payload: &[u8]) -> Result<(u64, [Stream; N]), CompressError> {
     let mut reader = Reader::new(payload);
     let count = read_u64(&mut reader)?;
-    let mut streams: [&[u8]; N] = [&[]; N];
+    let mut streams = [Stream { pos: 0, end: 0 }; N];
     for stream in streams.iter_mut() {
         let len = read_u64(&mut reader)?;
         if len > reader.remaining() as u64 {
@@ -233,11 +302,16 @@ fn read_streams<const N: usize>(payload: &[u8]) -> Result<(u64, [&[u8]; N]), Com
                 limit: reader.remaining() as u64,
             });
         }
-        *stream = reader
+        let pos = payload.len() - reader.remaining();
+        reader
             .read_bytes(len as usize)
             .map_err(|_| CompressError::Truncated {
                 what: "columnar stream",
             })?;
+        *stream = Stream {
+            pos,
+            end: pos + len as usize,
+        };
     }
     if !reader.is_at_end() {
         return Err(CompressError::TrailingBytes {
@@ -248,7 +322,7 @@ fn read_streams<const N: usize>(payload: &[u8]) -> Result<(u64, [&[u8]; N]), Com
     Ok((count, streams))
 }
 
-/// Requires a stream reader to be fully consumed once all items are read.
+/// Requires a row reader to be fully consumed once all items are read.
 fn require_at_end(reader: &Reader<'_>, what: &'static str) -> Result<(), CompressError> {
     if !reader.is_at_end() {
         return Err(CompressError::TrailingBytes {
@@ -347,64 +421,63 @@ impl EventColumnsW {
     }
 }
 
-struct EventColumnsR<'a> {
-    tags: Reader<'a>,
-    regions: DeltaReader<'a>,
-    durations: Reader<'a>,
-    waits: Reader<'a>,
-    peers: DeltaReader<'a>,
-    meta: DeltaReader<'a>,
-    sizes: DeltaReader<'a>,
+struct EventColumnsR {
+    tags: Stream,
+    regions: DeltaReader,
+    durations: Stream,
+    waits: Stream,
+    peers: DeltaReader,
+    meta: DeltaReader,
+    sizes: DeltaReader,
 }
 
-impl<'a> EventColumnsR<'a> {
-    fn new(streams: [&'a [u8]; 7]) -> Self {
+impl EventColumnsR {
+    fn new(streams: [Stream; 7]) -> Self {
         let [tags, regions, durations, waits, peers, meta, sizes] = streams;
         EventColumnsR {
-            tags: Reader::new(tags),
+            tags,
             regions: DeltaReader::new(regions),
-            durations: Reader::new(durations),
-            waits: Reader::new(waits),
+            durations,
+            waits,
             peers: DeltaReader::new(peers),
             meta: DeltaReader::new(meta),
             sizes: DeltaReader::new(sizes),
         }
     }
 
-    /// Reads back every field [`EventColumnsW::push`] wrote; `start` comes
-    /// from the caller's time stream.
-    fn next(&mut self, start: Time) -> Result<Event, CompressError> {
-        let region = RegionId(self.regions.next()? as u32);
-        let duration = Time::from_nanos(read_u64(&mut self.durations)?);
-        let wait = Time::from_nanos(read_u64(&mut self.waits)?);
-        let comm = match next_tag(&mut self.tags, "a columnar comm-tags stream")? {
+    /// Reads back every field [`EventColumnsW::push`] wrote from the
+    /// payload `buf`; `start` comes from the caller's time stream.
+    #[inline(always)]
+    fn next(&mut self, buf: &[u8], start: Time) -> Result<Event, CompressError> {
+        const TAGS: &str = "a columnar comm-tags stream";
+        let region = RegionId(self.regions.next_u32(buf, "region id")?);
+        let duration = Time::from_nanos(self.durations.varint(buf)?);
+        let wait = Time::from_nanos(self.waits.varint(buf)?);
+        let comm = match self.tags.byte(buf, TAGS)? {
             tag::COMM_COMPUTE => CommInfo::Compute,
             tag::COMM_SEND => CommInfo::Send {
-                peer: Rank(self.peers.next()? as u32),
-                tag: self.meta.next()? as u32,
-                bytes: self.sizes.next()?,
+                peer: Rank(self.peers.next_u32(buf, "peer rank")?),
+                tag: self.meta.next_u32(buf, "message tag")?,
+                bytes: self.sizes.next(buf)?,
             },
             tag::COMM_RECV => CommInfo::Recv {
-                peer: Rank(self.peers.next()? as u32),
-                tag: self.meta.next()? as u32,
-                bytes: self.sizes.next()?,
+                peer: Rank(self.peers.next_u32(buf, "peer rank")?),
+                tag: self.meta.next_u32(buf, "message tag")?,
+                bytes: self.sizes.next(buf)?,
             },
             tag::COMM_SENDRECV => CommInfo::SendRecv {
-                to: Rank(self.peers.next()? as u32),
-                from: Rank(self.peers.next()? as u32),
-                tag: self.meta.next()? as u32,
-                bytes: self.sizes.next()?,
+                to: Rank(self.peers.next_u32(buf, "sendrecv destination rank")?),
+                from: Rank(self.peers.next_u32(buf, "sendrecv source rank")?),
+                tag: self.meta.next_u32(buf, "message tag")?,
+                bytes: self.sizes.next(buf)?,
             },
             tag::COMM_COLLECTIVE => {
-                let op = collective_op_from_tag(next_tag(
-                    &mut self.tags,
-                    "a columnar comm-tags stream",
-                )?)?;
+                let op = collective_op_from_tag(self.tags.byte(buf, TAGS)?)?;
                 CommInfo::Collective {
                     op,
-                    root: Rank(self.peers.next()? as u32),
-                    comm_size: self.meta.next()? as u32,
-                    bytes: self.sizes.next()?,
+                    root: Rank(self.peers.next_u32(buf, "collective root rank")?),
+                    comm_size: self.meta.next_u32(buf, "communicator size")?,
+                    bytes: self.sizes.next(buf)?,
                 }
             }
             other => {
@@ -425,13 +498,15 @@ impl<'a> EventColumnsR<'a> {
 
     /// Requires every event stream to be fully consumed.
     fn finish(&self) -> Result<(), CompressError> {
-        require_at_end(&self.tags, "the items of a comm-tags column")?;
-        require_at_end(&self.regions.reader, "the items of a regions column")?;
-        require_at_end(&self.durations, "the items of a durations column")?;
-        require_at_end(&self.waits, "the items of a waits column")?;
-        require_at_end(&self.peers.reader, "the items of a peers column")?;
-        require_at_end(&self.meta.reader, "the items of a meta column")?;
-        require_at_end(&self.sizes.reader, "the items of a sizes column")
+        self.tags.finish("the items of a comm-tags column")?;
+        self.regions
+            .stream
+            .finish("the items of a regions column")?;
+        self.durations.finish("the items of a durations column")?;
+        self.waits.finish("the items of a waits column")?;
+        self.peers.stream.finish("the items of a peers column")?;
+        self.meta.stream.finish("the items of a meta column")?;
+        self.sizes.stream.finish("the items of a sizes column")
     }
 }
 
@@ -475,30 +550,63 @@ fn encode_records(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
     Ok(write_streams(count, &streams))
 }
 
-fn decode_records(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
-    let (count, streams) = read_streams::<10>(payload)?;
-    let [tags, contexts, times, ev_tags, regions, durations, waits, peers, meta, sizes] = streams;
-    let mut tags = Reader::new(tags);
-    let mut contexts = DeltaReader::new(contexts);
-    let mut times = TimeReader::new(times);
-    let mut events = EventColumnsR::new([ev_tags, regions, durations, waits, peers, meta, sizes]);
+/// Record cursor over one columnar `RECORDS` payload.
+///
+/// Owns the decompressed columnar bytes and yields one [`TraceRecord`] per
+/// [`RecordColumns::next_record`] call, with no intermediate row bytes.
+/// Every check of the row path holds: time arithmetic is checked
+/// (`NegativeTime`), unknown tags are `BadTag`s, 32-bit fields that do not
+/// fit are `FieldOutOfRange`, a count above what the columns hold is a
+/// truncation, and once the count is exhausted (at construction, for a
+/// count of 0) every column must be fully consumed.
+pub struct RecordColumns {
+    payload: Vec<u8>,
+    remaining: u64,
+    tags: Stream,
+    contexts: DeltaReader,
+    times: TimeReader,
+    events: EventColumnsR,
+}
 
-    let mut out = Vec::with_capacity(payload.len() + payload.len() / 2 + 8);
-    write_u64(&mut out, count);
-    let mut prev_time = Time::ZERO;
-    for _ in 0..count {
-        let record = match next_tag(&mut tags, "a columnar record-tags stream")? {
+impl RecordColumns {
+    /// Parses the stream layout of a columnar `RECORDS` payload.
+    pub fn new(payload: Vec<u8>) -> Result<Self, CompressError> {
+        let (count, streams) = read_streams::<10>(&payload)?;
+        let [tags, contexts, times, ev_tags, regions, durations, waits, peers, meta, sizes] =
+            streams;
+        let columns = RecordColumns {
+            remaining: count,
+            tags,
+            contexts: DeltaReader::new(contexts),
+            times: TimeReader::new(times),
+            events: EventColumnsR::new([ev_tags, regions, durations, waits, peers, meta, sizes]),
+            payload,
+        };
+        if count == 0 {
+            columns.finish()?;
+        }
+        Ok(columns)
+    }
+
+    /// Decodes the next record, or `Ok(None)` once the declared count is
+    /// exhausted.
+    pub fn next_record(&mut self) -> Result<Option<TraceRecord>, CompressError> {
+        if self.remaining == 0 {
+            return Ok(None);
+        }
+        let buf = &self.payload;
+        let record = match self.tags.byte(buf, "a columnar record-tags stream")? {
             tag::SEGMENT_BEGIN => TraceRecord::SegmentBegin {
-                context: ContextId(contexts.next()? as u32),
-                time: times.next()?,
+                context: ContextId(self.contexts.next_u32(buf, "context id")?),
+                time: self.times.next(buf)?,
             },
             tag::SEGMENT_END => TraceRecord::SegmentEnd {
-                context: ContextId(contexts.next()? as u32),
-                time: times.next()?,
+                context: ContextId(self.contexts.next_u32(buf, "context id")?),
+                time: self.times.next(buf)?,
             },
             tag::EVENT => {
-                let start = times.next()?;
-                TraceRecord::Event(events.next(start)?)
+                let start = self.times.next(buf)?;
+                TraceRecord::Event(self.events.next(buf, start)?)
             }
             other => {
                 return Err(CompressError::Codec(CodecError::BadTag {
@@ -507,12 +615,38 @@ fn decode_records(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
                 }))
             }
         };
+        self.remaining -= 1;
+        if self.remaining == 0 {
+            self.finish()?;
+        }
+        Ok(Some(record))
+    }
+
+    /// Gives the payload buffer back for reuse.
+    pub fn into_payload(self) -> Vec<u8> {
+        self.payload
+    }
+
+    /// Requires every column to be fully consumed.
+    fn finish(&self) -> Result<(), CompressError> {
+        self.tags.finish("the items of a record-tags column")?;
+        self.contexts
+            .stream
+            .finish("the items of a contexts column")?;
+        self.times.stream.finish("the items of a times column")?;
+        self.events.finish()
+    }
+}
+
+/// Rebuilds the row payload of a columnar `RECORDS` payload.
+fn decode_records(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
+    let mut records = RecordColumns::new(payload.to_vec())?;
+    let mut out = Vec::with_capacity(payload.len() + payload.len() / 2 + 8);
+    write_u64(&mut out, records.remaining);
+    let mut prev_time = Time::ZERO;
+    while let Some(record) = records.next_record()? {
         prev_time = write_record(&mut out, &record, prev_time);
     }
-    require_at_end(&tags, "the items of a record-tags column")?;
-    require_at_end(&contexts.reader, "the items of a contexts column")?;
-    require_at_end(&times.reader, "the items of a times column")?;
-    events.finish()?;
     Ok(out)
 }
 
@@ -576,17 +710,17 @@ fn decode_stored(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
     let mut out = Vec::with_capacity(payload.len() + payload.len() / 2 + 8);
     write_u64(&mut out, count);
     for _ in 0..count {
-        let id = seg_ids.next()? as u32;
-        let represented = reps.next()? as u32;
-        let context = ContextId(contexts.next()? as u32);
-        let start = Time::from_nanos(starts.next()?);
-        let end = Time::from_nanos(ends.next()?);
-        let event_count = counts.next()?;
+        let id = seg_ids.next(payload)? as u32;
+        let represented = reps.next(payload)? as u32;
+        let context = ContextId(contexts.next(payload)? as u32);
+        let start = Time::from_nanos(starts.next(payload)?);
+        let end = Time::from_nanos(ends.next(payload)?);
+        let event_count = counts.next(payload)?;
         times.restart();
         let mut segment_events = Vec::new();
         for _ in 0..event_count {
-            let event_start = times.next()?;
-            segment_events.push(events.next(event_start)?);
+            let event_start = times.next(payload)?;
+            segment_events.push(events.next(payload, event_start)?);
         }
         write_stored_segment(
             &mut out,
@@ -602,13 +736,13 @@ fn decode_stored(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
             },
         );
     }
-    require_at_end(&seg_ids.reader, "the items of a segment-ids column")?;
-    require_at_end(&reps.reader, "the items of a represented column")?;
-    require_at_end(&contexts.reader, "the items of a contexts column")?;
-    require_at_end(&starts.reader, "the items of a starts column")?;
-    require_at_end(&ends.reader, "the items of an ends column")?;
-    require_at_end(&counts.reader, "the items of a counts column")?;
-    require_at_end(&times.reader, "the items of a times column")?;
+    seg_ids.stream.finish("the items of a segment-ids column")?;
+    reps.stream.finish("the items of a represented column")?;
+    contexts.stream.finish("the items of a contexts column")?;
+    starts.stream.finish("the items of a starts column")?;
+    ends.stream.finish("the items of an ends column")?;
+    counts.stream.finish("the items of a counts column")?;
+    times.stream.finish("the items of a times column")?;
     events.finish()?;
     Ok(out)
 }
@@ -644,13 +778,13 @@ fn decode_execs(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
     let mut prev = Time::ZERO;
     for _ in 0..count {
         let exec = SegmentExec {
-            segment: seg_ids.next()? as u32,
-            start: times.next()?,
+            segment: seg_ids.next(payload)? as u32,
+            start: times.next(payload)?,
         };
         prev = write_exec(&mut out, &exec, prev);
     }
-    require_at_end(&seg_ids.reader, "the items of a segment-ids column")?;
-    require_at_end(&times.reader, "the items of a times column")?;
+    seg_ids.stream.finish("the items of a segment-ids column")?;
+    times.stream.finish("the items of a times column")?;
     Ok(out)
 }
 
@@ -869,6 +1003,68 @@ mod tests {
         ));
         // Row-side: a malformed row payload is rejected by the encoder.
         assert!(column_encode(PayloadClass::Records, &[0x07]).is_err());
+    }
+
+    #[test]
+    fn record_cursor_yields_the_row_records_and_keeps_every_check() {
+        let records = sample_records();
+        let columnar = column_encode(PayloadClass::Records, &records_payload(&records)).unwrap();
+        let mut cursor = RecordColumns::new(columnar.clone()).unwrap();
+        assert_eq!(cursor.remaining, records.len() as u64);
+        let mut decoded = Vec::new();
+        while let Some(record) = cursor.next_record().unwrap() {
+            decoded.push(record);
+        }
+        assert_eq!(decoded, records);
+        assert_eq!(cursor.next_record().unwrap(), None);
+        assert_eq!(cursor.into_payload(), columnar);
+
+        // One Send event whose peer is `peer`, as RECORDS columns.
+        let send_event = |count: u64, peer: u64| {
+            let svarint = |v: i64| {
+                let mut out = Vec::new();
+                write_i64(&mut out, v);
+                out
+            };
+            write_streams(
+                count,
+                &[
+                    &[tag::EVENT],
+                    &[],
+                    &svarint(10),
+                    &[tag::COMM_SEND],
+                    &svarint(0),
+                    &[5],
+                    &[0],
+                    &svarint(peer as i64),
+                    &svarint(7),
+                    &svarint(64),
+                ],
+            )
+        };
+        let mut cursor = RecordColumns::new(send_event(1, 3)).unwrap();
+        assert!(matches!(
+            cursor.next_record().unwrap(),
+            Some(TraceRecord::Event(Event {
+                comm: CommInfo::Send { peer: Rank(3), .. },
+                ..
+            }))
+        ));
+        // 2^32 + 1 would truncate to rank 1 under an `as u32` cast.
+        let wide = (1u64 << 32) + 1;
+        let mut cursor = RecordColumns::new(send_event(1, wide)).unwrap();
+        assert!(matches!(
+            cursor.next_record(),
+            Err(CompressError::Codec(CodecError::FieldOutOfRange {
+                field: "peer rank",
+                value,
+            })) if value == wide
+        ));
+        // A count of 0 with bytes in the columns is rejected up front.
+        assert!(matches!(
+            RecordColumns::new(send_event(0, 3)),
+            Err(CompressError::TrailingBytes { .. })
+        ));
     }
 
     #[test]

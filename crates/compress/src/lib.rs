@@ -41,9 +41,9 @@ pub mod column;
 pub mod error;
 pub mod lz;
 
-pub use column::{column_decode, column_encode, PayloadClass};
+pub use column::{column_decode, column_encode, PayloadClass, RecordColumns};
 pub use error::CompressError;
-pub use lz::{lz_compress, lz_decompress};
+pub use lz::{lz_compress, lz_decompress, lz_decompress_into};
 
 /// A chunk-payload codec, addressed by the codec id byte in the `.trc` v2
 /// chunk framing.

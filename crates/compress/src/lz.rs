@@ -18,7 +18,11 @@
 //! position and may reach anywhere into the already-produced output — the
 //! window is the whole block, which is fine because blocks are container
 //! chunks, not gigabyte files.  Overlapping matches (distance < length) are
-//! legal and decode byte by byte, which is how runs compress.
+//! legal, which is how runs compress.  The decoder copies a match in bulk:
+//! the first step copies at most `distance` bytes, and every later step
+//! copies all the bytes already written since the match source began, so
+//! each copy reads only bytes that exist and a run of length `n` takes
+//! `O(log n)` copies.
 //!
 //! The match finder is a classic greedy hash chain: 4-byte hashes index the
 //! most recent occurrence, a `prev` chain links earlier ones, and the search
@@ -176,6 +180,16 @@ pub fn lz_compress(input: &[u8]) -> Vec<u8> {
 /// length, trailing bytes — is a typed [`CompressError`]; the output buffer
 /// grows only as bytes are actually produced.
 pub fn lz_decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
+    let mut out = Vec::new();
+    lz_decompress_into(input, &mut out)?;
+    Ok(out)
+}
+
+/// [`lz_decompress`] into a caller-owned buffer, so a reader decoding chunk
+/// after chunk reuses one allocation.  `out` is cleared first; on error its
+/// contents are unspecified.
+pub fn lz_decompress_into(input: &[u8], out: &mut Vec<u8>) -> Result<(), CompressError> {
+    out.clear();
     let mut reader = Reader::new(input);
     let raw_len = trace_model::codec::varint::read_u64(&mut reader)?;
     if raw_len > MAX_RAW_LEN {
@@ -186,7 +200,7 @@ pub fn lz_decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
         });
     }
     let raw_len = raw_len as usize;
-    let mut out: Vec<u8> = Vec::with_capacity(raw_len.min(1 << 20));
+    out.reserve(raw_len.min(1 << 20));
     while out.len() < raw_len {
         let ctrl = reader.read_byte().map_err(|_| CompressError::Truncated {
             what: "lz sequence control byte",
@@ -242,13 +256,16 @@ pub fn lz_decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
                 limit: (raw_len - out.len()) as u64,
             });
         }
+        // Overlapping matches are legal (distance < length).  The source
+        // `start..` repeats with period `distance`, so copying from `start`
+        // as many bytes as exist past it (at most `distance` at first, then
+        // doubling) always copies whole periods of already-written bytes.
         let start = out.len() - distance as usize;
-        // Overlapping matches are legal (distance < length): copy byte by
-        // byte so the just-written bytes feed the rest of the match.
-        for i in 0..match_len as usize {
-            // lint:allow(indexing) -- distance <= out.len() is checked above and each iteration pushes one byte, so start + i < out.len()
-            let byte = out[start + i];
-            out.push(byte);
+        let mut left = match_len as usize;
+        while left > 0 {
+            let step = left.min(out.len() - start);
+            out.extend_from_within(start..start + step);
+            left -= step;
         }
     }
     if !reader.is_at_end() {
@@ -257,7 +274,7 @@ pub fn lz_decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
             bytes: reader.remaining(),
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -326,6 +343,57 @@ mod tests {
         let mut input: Vec<u8> = (0u8..=99).collect();
         input.extend(0u8..=99);
         round_trip(&input);
+    }
+
+    #[test]
+    fn repeats_at_every_short_distance_round_trip() {
+        // A distinct prefix of `distance` bytes repeated to `len` bytes
+        // forces matches with exactly that distance, overlapping whenever
+        // the run is longer than the distance.
+        for distance in 1..=16usize {
+            for len in [4usize, 5, 15, 16, 17, 19, 20, 33, 64, 100, 255, 256, 300] {
+                let mut input: Vec<u8> = (0..distance).map(|i| 0xa0 + i as u8).collect();
+                input.extend((0..len).map(|i| 0xa0 + (i % distance) as u8));
+                input.extend_from_slice(b"|tail");
+                round_trip(&input);
+            }
+        }
+    }
+
+    #[test]
+    fn crafted_overlapping_matches_decode_like_a_byte_copy() {
+        // One literal run of `distance` bytes, then one match of `len`
+        // bytes reaching back exactly `distance`: the decoder must agree
+        // with the byte-at-a-time definition of an LZ match.
+        for distance in 1..=16usize {
+            for len in MIN_MATCH..=300 {
+                let literals: Vec<u8> = (0..distance as u8).map(|i| i * 7 + 1).collect();
+                let mut expected = literals.clone();
+                for i in 0..len {
+                    expected.push(expected[i]);
+                }
+                let mut block = Vec::new();
+                write_u64(&mut block, (distance + len) as u64);
+                write_sequence(&mut block, &literals, Some((distance, len)));
+                assert_eq!(
+                    lz_decompress(&block).unwrap(),
+                    expected,
+                    "distance {distance} length {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decompress_into_reuses_the_buffer_and_matches_decompress() {
+        let first: Vec<u8> = b"abcabcabcabc-first".repeat(50);
+        let second: Vec<u8> = b"xyz".repeat(7);
+        let mut out = Vec::new();
+        lz_decompress_into(&lz_compress(&first), &mut out).unwrap();
+        assert_eq!(out, first);
+        lz_decompress_into(&lz_compress(&second), &mut out).unwrap();
+        assert_eq!(out, second);
+        assert!(out.capacity() >= first.len());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use std::io::{self, Read, Write};
 
-use trace_compress::{decompress_observed, Codec, PayloadClass};
+use trace_compress::{decompress_observed, lz_decompress_into, Codec, PayloadClass};
 
 use crate::crc::crc32;
 use crate::error::ContainerError;
@@ -179,6 +179,18 @@ pub struct RawChunk {
     pub payload: Vec<u8>,
 }
 
+/// The framing of one chunk whose stored bytes
+/// [`ChunkStream::read_stored`] read and CRC-checked.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ChunkFrame {
+    /// The chunk kind.
+    pub kind: ChunkKind,
+    /// The codec the stored bytes are encoded under.
+    pub codec: Codec,
+    /// Byte offset of the chunk's framing header in the file.
+    pub offset: u64,
+}
+
 /// Sequentially reads framed chunks, verifying each payload's CRC-32 and
 /// tracking byte offsets plus the largest payload buffered so far (the
 /// reader's resident-memory high-water mark).
@@ -214,7 +226,8 @@ impl<R: Read> ChunkStream<R> {
         self.offset
     }
 
-    /// Largest chunk payload held in memory so far, in bytes.
+    /// Largest single chunk buffer held in memory so far, in bytes: a
+    /// stored payload, or the output of decompressing one.
     pub fn peak_payload_bytes(&self) -> usize {
         self.peak_payload_bytes
     }
@@ -252,21 +265,22 @@ impl<R: Read> ChunkStream<R> {
         ))
     }
 
-    /// Reads, verifies and decompresses the next chunk in full.
+    /// Reads the next chunk's stored bytes into `payload` (replacing its
+    /// contents, reusing its allocation) and verifies their CRC-32; no
+    /// decompression runs.
     ///
     /// The payload buffer grows as bytes actually arrive, in bounded steps,
     /// so a corrupt length field costs a `Truncated` error — never a
     /// multi-gigabyte upfront allocation from untrusted input.  The CRC
-    /// covers the stored bytes and is checked *before* decompression, so a
-    /// flipped bit is a [`ContainerError::BadCrc`]; a crafted payload that
-    /// passes the CRC but is not a valid codec stream is a typed
-    /// [`ContainerError::Compress`].
-    pub fn next_chunk(&mut self) -> Result<RawChunk, ContainerError> {
+    /// covers the stored bytes, so a flipped bit is a
+    /// [`ContainerError::BadCrc`] before any decoder sees the payload.
+    pub fn read_stored(&mut self, payload: &mut Vec<u8>) -> Result<ChunkFrame, ContainerError> {
         const READ_STEP: u64 = 1 << 20;
         let offset = self.offset;
         let io_span = self.obs.start();
         let (kind, codec, len, expected) = self.read_frame()?;
-        let mut payload = Vec::with_capacity(len.min(READ_STEP) as usize);
+        payload.clear();
+        payload.reserve(len.min(READ_STEP) as usize);
         while (payload.len() as u64) < len {
             let take = (len - payload.len() as u64).min(READ_STEP) as usize;
             let start = payload.len();
@@ -274,7 +288,7 @@ impl<R: Read> ChunkStream<R> {
             // lint:allow(indexing) -- start < payload.len() by the resize on the previous line
             self.read_exact(&mut payload[start..], "chunk payload")?;
         }
-        let found = crc32(&payload);
+        let found = crc32(payload);
         if found != expected {
             return Err(ContainerError::BadCrc {
                 offset,
@@ -284,17 +298,72 @@ impl<R: Read> ChunkStream<R> {
         }
         self.obs.end(trace_obs::Stage::ChunkIo, io_span);
         self.obs.add(trace_obs::names::CHUNK_READS, 1);
-        self.peak_payload_bytes = self.peak_payload_bytes.max(payload.len());
-        if codec != Codec::None {
-            payload = decompress_observed(codec, kind.payload_class(), &payload, &mut self.obs)?;
-            self.peak_payload_bytes = self.peak_payload_bytes.max(payload.len());
-        }
-        Ok(RawChunk {
+        self.note_resident(payload.len());
+        Ok(ChunkFrame {
             kind,
             codec,
             offset,
+        })
+    }
+
+    /// Reads, verifies and decompresses the next chunk in full:
+    /// [`ChunkStream::read_stored`], then `trace_compress::decompress`
+    /// under the chunk's codec.  A crafted payload that passes the CRC but
+    /// is not a valid codec stream is a typed [`ContainerError::Compress`].
+    pub fn next_chunk(&mut self) -> Result<RawChunk, ContainerError> {
+        let mut payload = Vec::new();
+        let frame = self.read_stored(&mut payload)?;
+        if frame.codec != Codec::None {
+            payload = self.decompress(frame, &payload)?;
+        }
+        Ok(RawChunk {
+            kind: frame.kind,
+            codec: frame.codec,
+            offset: frame.offset,
             payload,
         })
+    }
+
+    /// Decompresses a chunk's stored bytes to row bytes, recording a
+    /// [`trace_obs::Stage::Compress`] span plus `decompress.bytes_{in,out}`
+    /// and counting the output towards the resident peak.
+    pub(crate) fn decompress(
+        &mut self,
+        frame: ChunkFrame,
+        stored: &[u8],
+    ) -> Result<Vec<u8>, ContainerError> {
+        let payload = decompress_observed(
+            frame.codec,
+            frame.kind.payload_class(),
+            stored,
+            &mut self.obs,
+        )?;
+        self.note_resident(payload.len());
+        Ok(payload)
+    }
+
+    /// LZ-decompresses stored bytes into the reused buffer `out`, with the
+    /// same span, counters and peak accounting as
+    /// [`ChunkStream::decompress`].
+    pub(crate) fn lz_inflate(
+        &mut self,
+        stored: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), ContainerError> {
+        let span = self.obs.start();
+        lz_decompress_into(stored, out)?;
+        self.obs.end(trace_obs::Stage::Compress, span);
+        self.obs
+            .add(trace_obs::names::DECOMPRESS_BYTES_IN, stored.len() as u64);
+        self.obs
+            .add(trace_obs::names::DECOMPRESS_BYTES_OUT, out.len() as u64);
+        self.note_resident(out.len());
+        Ok(())
+    }
+
+    /// Counts a buffer of `bytes` towards the resident peak.
+    fn note_resident(&mut self, bytes: usize) {
+        self.peak_payload_bytes = self.peak_payload_bytes.max(bytes);
     }
 
     /// Reads the next chunk's framing header and discards its payload

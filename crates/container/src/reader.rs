@@ -1,14 +1,19 @@
 //! Streaming container readers.
 //!
 //! [`ChunkReader`] pulls one record at a time out of an app-trace container
-//! over any [`std::io::Read`] source, holding at most one decoded chunk
-//! payload in memory — the binary analogue of the text
-//! `trace_stream::StreamParser`.  [`read_reduced_container`] materializes a
-//! reduced trace chunk by chunk, and [`decode_app_any`] /
-//! [`decode_reduced_any`] fall back to the monolithic v1 codec when the
-//! magic bytes say so.
+//! over any [`std::io::Read`] source, holding at most one chunk in memory —
+//! the binary analogue of the text `trace_stream::StreamParser`.  A
+//! `RECORDS` chunk goes from stored bytes to records in one pass: row
+//! payloads (`none`, `lz`) are parsed with the row codec, columnar ones
+//! (`delta`, `delta-lz`) are read column by column with
+//! [`trace_compress::RecordColumns`], and no row bytes are rebuilt.
+//! [`read_reduced_container`] materializes a reduced trace chunk by chunk,
+//! and [`decode_app_any`] / [`decode_reduced_any`] fall back to the
+//! monolithic v1 codec when the magic bytes say so.
 
 use std::io::Read;
+
+use trace_compress::{Codec, RecordColumns};
 
 use trace_model::codec::varint::read_u64 as varint_read_u64;
 use trace_model::codec::{
@@ -21,7 +26,9 @@ use trace_model::{
 };
 
 use crate::error::ContainerError;
-use crate::layout::{read_header, ChunkKind, ChunkStream, PayloadKind, CONTAINER_MAGIC};
+use crate::layout::{
+    read_header, ChunkFrame, ChunkKind, ChunkStream, PayloadKind, CONTAINER_MAGIC,
+};
 
 /// The decoded preamble chunk: program name, declared rank count and the
 /// interned string tables shared by every section.
@@ -73,17 +80,18 @@ pub enum ContainerItem {
     RankEnd(Rank),
 }
 
-/// Decode cursor over the payload of the current `RECORDS` chunk.
+/// Row cursor over an uncompressed (`none`) or LZ-decompressed (`lz`)
+/// `RECORDS` payload.
 #[derive(Default)]
-struct ChunkCursor {
+struct RowCursor {
     payload: Vec<u8>,
     pos: usize,
     remaining: u64,
     prev_time: Time,
 }
 
-impl ChunkCursor {
-    fn load(&mut self, payload: Vec<u8>) -> Result<(), ContainerError> {
+impl RowCursor {
+    fn new(payload: Vec<u8>) -> Result<Self, ContainerError> {
         let mut reader = Reader::new(&payload);
         let remaining = varint_read_u64(&mut reader)?;
         let pos = payload.len() - reader.remaining();
@@ -93,14 +101,18 @@ impl ChunkCursor {
                 bytes: payload.len() - pos,
             });
         }
-        self.payload = payload;
-        self.pos = pos;
-        self.remaining = remaining;
-        self.prev_time = Time::ZERO;
-        Ok(())
+        Ok(RowCursor {
+            payload,
+            pos,
+            remaining,
+            prev_time: Time::ZERO,
+        })
     }
 
-    fn next_record(&mut self) -> Result<TraceRecord, ContainerError> {
+    fn next_record(&mut self) -> Result<Option<TraceRecord>, ContainerError> {
+        if self.remaining == 0 {
+            return Ok(None);
+        }
         // A broken position invariant degrades to an empty slice, which the
         // record decoder reports as a typed truncation error.
         let slice = self.payload.get(self.pos..).unwrap_or(&[]);
@@ -115,7 +127,66 @@ impl ChunkCursor {
                 bytes: reader.remaining(),
             });
         }
-        Ok(record)
+        Ok(Some(record))
+    }
+}
+
+/// The decode state of the current `RECORDS` chunk: row bytes or columns.
+enum ChunkRecords {
+    Rows(RowCursor),
+    Columns(RecordColumns),
+}
+
+/// Decode cursor over the current `RECORDS` chunk.  It yields one record
+/// per call and keeps two buffers across chunks: `stored`, which the next
+/// chunk's stored bytes are read into, and the buffer the current chunk
+/// decodes from (the stored bytes themselves, or their LZ output).
+struct ChunkCursor {
+    stored: Vec<u8>,
+    records: ChunkRecords,
+}
+
+impl Default for ChunkCursor {
+    fn default() -> Self {
+        ChunkCursor {
+            stored: Vec::new(),
+            records: ChunkRecords::Rows(RowCursor::default()),
+        }
+    }
+}
+
+impl ChunkCursor {
+    /// Starts decoding the `RECORDS` chunk whose stored bytes, stored under
+    /// `codec`, were just read into `self.stored`.
+    fn load<R: Read>(
+        &mut self,
+        codec: Codec,
+        stream: &mut ChunkStream<R>,
+    ) -> Result<(), ContainerError> {
+        let previous =
+            std::mem::replace(&mut self.records, ChunkRecords::Rows(RowCursor::default()));
+        let mut payload = match previous {
+            ChunkRecords::Rows(rows) => rows.payload,
+            ChunkRecords::Columns(columns) => columns.into_payload(),
+        };
+        match codec {
+            Codec::None | Codec::Delta => std::mem::swap(&mut payload, &mut self.stored),
+            Codec::Lz | Codec::DeltaLz => stream.lz_inflate(&self.stored, &mut payload)?,
+        }
+        self.records = match codec {
+            Codec::None | Codec::Lz => ChunkRecords::Rows(RowCursor::new(payload)?),
+            Codec::Delta | Codec::DeltaLz => ChunkRecords::Columns(RecordColumns::new(payload)?),
+        };
+        Ok(())
+    }
+
+    /// Decodes the next record of the current chunk, or `Ok(None)` once
+    /// its declared count is exhausted.
+    fn next_record(&mut self) -> Result<Option<TraceRecord>, ContainerError> {
+        match &mut self.records {
+            ChunkRecords::Rows(rows) => rows.next_record(),
+            ChunkRecords::Columns(columns) => Ok(columns.next_record()?),
+        }
     }
 }
 
@@ -204,8 +275,11 @@ impl<R: Read> ChunkReader<R> {
         self.ranks_seen
     }
 
-    /// Largest chunk payload buffered so far, in bytes — the reader's
+    /// Largest single chunk buffer held so far, in bytes — the reader's
     /// resident-memory high-water mark (excluding constant-size state).
+    /// It counts stored payloads and LZ output (row bytes for `lz`, column
+    /// bytes for `delta-lz`); `delta` and `delta-lz` chunks are decoded
+    /// column by column, so no row payload is built for them.
     pub fn peak_chunk_bytes(&self) -> usize {
         self.stream.peak_payload_bytes()
     }
@@ -259,6 +333,16 @@ impl<R: Read> ChunkReader<R> {
         Ok(ContainerItem::RankEnd(rank))
     }
 
+    /// The payload of a non-`RECORDS` chunk whose stored bytes were just
+    /// read into the cursor's buffer, decompressed.
+    fn control_payload(&mut self, frame: ChunkFrame) -> Result<Vec<u8>, ContainerError> {
+        if frame.codec == Codec::None {
+            Ok(self.cursor.stored.clone())
+        } else {
+            self.stream.decompress(frame, &self.cursor.stored)
+        }
+    }
+
     /// Pulls the next item, or `Ok(None)` once the index footer (or, in
     /// section mode, the section's `RANK_END`) has been consumed.
     pub fn next_item(&mut self) -> Result<Option<ContainerItem>, ContainerError> {
@@ -266,8 +350,7 @@ impl<R: Read> ChunkReader<R> {
             match &mut self.state {
                 ReaderState::Done => return Ok(None),
                 ReaderState::InSection(progress) => {
-                    if self.cursor.remaining > 0 {
-                        let record = self.cursor.next_record()?;
+                    if let Some(record) = self.cursor.next_record()? {
                         progress.records += 1;
                         match &record {
                             TraceRecord::Event(_) => progress.events += 1,
@@ -276,10 +359,14 @@ impl<R: Read> ChunkReader<R> {
                         }
                         return Ok(Some(ContainerItem::Record(record)));
                     }
-                    let chunk = self.stream.next_chunk()?;
-                    match chunk.kind {
-                        ChunkKind::Records => self.cursor.load(chunk.payload)?,
-                        ChunkKind::RankEnd => return Ok(Some(self.end_section(&chunk.payload)?)),
+                    let frame = self.stream.read_stored(&mut self.cursor.stored)?;
+                    if frame.kind == ChunkKind::Records {
+                        self.cursor.load(frame.codec, &mut self.stream)?;
+                        continue;
+                    }
+                    let payload = self.control_payload(frame)?;
+                    match frame.kind {
+                        ChunkKind::RankEnd => return Ok(Some(self.end_section(&payload)?)),
                         other => {
                             return Err(ContainerError::UnexpectedChunk {
                                 expected: "RECORDS or RANK_END",
@@ -289,10 +376,11 @@ impl<R: Read> ChunkReader<R> {
                     }
                 }
                 ReaderState::Idle => {
-                    let chunk = self.stream.next_chunk()?;
-                    match chunk.kind {
+                    let frame = self.stream.read_stored(&mut self.cursor.stored)?;
+                    let payload = self.control_payload(frame)?;
+                    match frame.kind {
                         ChunkKind::RankBegin => {
-                            let mut reader = Reader::new(&chunk.payload);
+                            let mut reader = Reader::new(&payload);
                             let rank = Rank(read_rank(&mut reader, "RANK_BEGIN rank")?);
                             self.state = ReaderState::InSection(SectionProgress {
                                 rank,
@@ -303,7 +391,7 @@ impl<R: Read> ChunkReader<R> {
                             return Ok(Some(ContainerItem::RankStart(rank)));
                         }
                         ChunkKind::Index => {
-                            let sections = crate::index::parse_index_payload(&chunk.payload)?;
+                            let sections = crate::index::parse_index_payload(&payload)?;
                             let declared = self
                                 .preamble
                                 .as_ref()
@@ -315,7 +403,7 @@ impl<R: Read> ChunkReader<R> {
                                     found: self.ranks_seen as u64,
                                 });
                             }
-                            self.stream.finish_trailer(chunk.offset)?;
+                            self.stream.finish_trailer(frame.offset)?;
                             self.state = ReaderState::Done;
                             return Ok(None);
                         }

@@ -49,9 +49,12 @@ pub struct StreamStats {
     pub orphan_events: usize,
     /// Segments closed implicitly (missing or mismatched end markers).
     pub unterminated_segments: usize,
-    /// Largest chunk payload buffered by any one reader, in bytes.  Zero
-    /// for text and in-memory inputs; for monolithic v1 binary inputs this
-    /// is the whole file, which is the point of the chunked container.
+    /// Largest single chunk buffer held by any one reader, in bytes: a
+    /// stored payload or its decompressed form (row bytes for `lz`, column
+    /// bytes for `delta-lz`; container readers build no row payload for
+    /// the column codecs).  Zero for text and in-memory inputs; for
+    /// monolithic v1 binary inputs this is the whole file, which is the
+    /// point of the chunked container.
     /// Merging keeps the per-reader maximum, so the concurrent total of a
     /// multi-worker run is at most `workers ×` this value.
     pub peak_chunk_bytes: usize,

@@ -40,7 +40,8 @@ pub const STREAM_ORPHAN_EVENTS: &str = "stream.orphan_events";
 pub const STREAM_UNTERMINATED_SEGMENTS: &str = "stream.unterminated_segments";
 /// Gauge: peak resident segments (stored + in-flight) of any one worker.
 pub const STREAM_PEAK_RESIDENT_SEGMENTS: &str = "stream.peak_resident_segments";
-/// Gauge: largest chunk payload buffered by any one reader, in bytes.
+/// Gauge: largest single chunk buffer (stored or decompressed) held by any
+/// one reader, in bytes.
 pub const STREAM_PEAK_CHUNK_BYTES: &str = "stream.peak_chunk_bytes";
 
 /// Payload chunks read (and CRC-verified) from containers.

@@ -155,13 +155,11 @@ fn paper_preset_delta_lz_at_least_halves_the_container() {
         encode_reduced_trace(&in_memory)
     );
 
-    // Still one decompressed chunk resident: the compressed reader's peak
-    // matches the uncompressed reader's (same chunk grouping, decoded
-    // payloads identical) and stays an order of magnitude below the
-    // uncompressed byte volume it represents.
-    assert_eq!(
-        from_dlz.stats.peak_chunk_bytes,
-        from_none.stats.peak_chunk_bytes
-    );
+    // Still one chunk resident: the compressed reader decodes columns
+    // without rebuilding row bytes, so its peak buffer (stored bytes or
+    // LZ output) is at most the uncompressed reader's row payload, and it
+    // stays an order of magnitude below the uncompressed byte volume it
+    // represents.
+    assert!(from_dlz.stats.peak_chunk_bytes <= from_none.stats.peak_chunk_bytes);
     assert!(none.len() >= 10 * from_dlz.stats.peak_chunk_bytes);
 }

@@ -2,7 +2,7 @@
 
 use super::encode::tags;
 use super::varint::{read_i64, read_u64};
-use super::{CodecError, Reader, APP_TRACE_MAGIC, FORMAT_VERSION, REDUCED_TRACE_MAGIC};
+use super::{narrow_u32, CodecError, Reader, APP_TRACE_MAGIC, FORMAT_VERSION, REDUCED_TRACE_MAGIC};
 use crate::event::{CollectiveOp, CommInfo, Event};
 use crate::ids::{ContextId, ContextTable, Rank, RegionId, RegionTable};
 use crate::record::TraceRecord;
@@ -67,32 +67,37 @@ pub fn read_string_table(reader: &mut Reader<'_>) -> Result<Vec<String>, CodecEr
     Ok(names)
 }
 
+/// Reads a varint 32-bit field, rejecting values that do not fit.
+fn read_u32(reader: &mut Reader<'_>, field: &'static str) -> Result<u32, CodecError> {
+    narrow_u32(read_u64(reader)?, field)
+}
+
 fn read_comm(reader: &mut Reader<'_>) -> Result<CommInfo, CodecError> {
     let tag = reader.read_byte()?;
     Ok(match tag {
         tags::COMM_COMPUTE => CommInfo::Compute,
         tags::COMM_SEND => CommInfo::Send {
-            peer: Rank(read_u64(reader)? as u32),
-            tag: read_u64(reader)? as u32,
+            peer: Rank(read_u32(reader, "peer rank")?),
+            tag: read_u32(reader, "message tag")?,
             bytes: read_u64(reader)?,
         },
         tags::COMM_RECV => CommInfo::Recv {
-            peer: Rank(read_u64(reader)? as u32),
-            tag: read_u64(reader)? as u32,
+            peer: Rank(read_u32(reader, "peer rank")?),
+            tag: read_u32(reader, "message tag")?,
             bytes: read_u64(reader)?,
         },
         tags::COMM_SENDRECV => CommInfo::SendRecv {
-            to: Rank(read_u64(reader)? as u32),
-            from: Rank(read_u64(reader)? as u32),
-            tag: read_u64(reader)? as u32,
+            to: Rank(read_u32(reader, "sendrecv destination rank")?),
+            from: Rank(read_u32(reader, "sendrecv source rank")?),
+            tag: read_u32(reader, "message tag")?,
             bytes: read_u64(reader)?,
         },
         tags::COMM_COLLECTIVE => {
             let op = collective_op_from_tag(reader.read_byte()?)?;
             CommInfo::Collective {
                 op,
-                root: Rank(read_u64(reader)? as u32),
-                comm_size: read_u64(reader)? as u32,
+                root: Rank(read_u32(reader, "collective root rank")?),
+                comm_size: read_u32(reader, "communicator size")?,
                 bytes: read_u64(reader)?,
             }
         }
@@ -108,7 +113,7 @@ fn read_comm(reader: &mut Reader<'_>) -> Result<CommInfo, CodecError> {
 /// Reads one event with its start delta-encoded against `prev_time`; returns
 /// the event and the new `prev_time`.
 fn read_event(reader: &mut Reader<'_>, prev_time: Time) -> Result<(Event, Time), CodecError> {
-    let region = RegionId(read_u64(reader)? as u32);
+    let region = RegionId(read_u32(reader, "region id")?);
     let delta = read_i64(reader)?;
     let start = apply_time_delta(prev_time, delta)?;
     let duration = Time::from_nanos(read_u64(reader)?);
@@ -153,12 +158,12 @@ pub fn read_record(
     let tag = reader.read_byte()?;
     match tag {
         tags::RECORD_SEGMENT_BEGIN => {
-            let context = ContextId(read_u64(reader)? as u32);
+            let context = ContextId(read_u32(reader, "context id")?);
             let time = read_marker_time(reader, prev_time)?;
             Ok((TraceRecord::SegmentBegin { context, time }, time))
         }
         tags::RECORD_SEGMENT_END => {
-            let context = ContextId(read_u64(reader)? as u32);
+            let context = ContextId(read_u32(reader, "context id")?);
             let time = read_marker_time(reader, prev_time)?;
             Ok((TraceRecord::SegmentEnd { context, time }, time))
         }

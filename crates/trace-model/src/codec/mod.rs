@@ -59,6 +59,21 @@ pub enum CodecError {
     NegativeTime,
     /// A length prefix was implausibly large for the remaining input.
     LengthTooLarge(u64),
+    /// A 32-bit field (an id, rank, tag or communicator size) was encoded
+    /// with a value that does not fit 32 bits.
+    FieldOutOfRange {
+        /// Which field was being decoded.
+        field: &'static str,
+        /// The value the input declares.
+        value: u64,
+    },
+}
+
+/// Narrows a decoded 64-bit value to the 32-bit `field` it encodes,
+/// rejecting values that do not fit instead of truncating them.
+#[inline]
+pub fn narrow_u32(value: u64, field: &'static str) -> Result<u32, CodecError> {
+    u32::try_from(value).map_err(|_| CodecError::FieldOutOfRange { field, value })
 }
 
 impl fmt::Display for CodecError {
@@ -72,6 +87,9 @@ impl fmt::Display for CodecError {
             CodecError::VarintOverflow => write!(f, "varint does not fit in 64 bits"),
             CodecError::NegativeTime => write!(f, "delta-encoded time stamp went negative"),
             CodecError::LengthTooLarge(n) => write!(f, "length prefix {n} exceeds remaining input"),
+            CodecError::FieldOutOfRange { field, value } => {
+                write!(f, "{field} {value} does not fit 32 bits")
+            }
         }
     }
 }
@@ -87,11 +105,13 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Creates a reader over `data`.
+    #[inline]
     pub fn new(data: &'a [u8]) -> Self {
         Reader { data, pos: 0 }
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn read_byte(&mut self) -> Result<u8, CodecError> {
         let b = *self.data.get(self.pos).ok_or(CodecError::UnexpectedEof)?;
         self.pos += 1;
@@ -99,6 +119,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads exactly `n` bytes.
+    #[inline]
     pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         let end = self.pos.checked_add(n).ok_or(CodecError::UnexpectedEof)?;
         let slice = self
@@ -110,11 +131,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Number of bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
     /// True if every byte has been consumed.
+    #[inline]
     pub fn is_at_end(&self) -> bool {
         self.pos == self.data.len()
     }
@@ -293,6 +316,55 @@ mod tests {
             decode_app_trace(&bytes),
             Err(CodecError::UnsupportedVersion(99))
         ));
+    }
+
+    #[test]
+    fn wide_record_fields_are_rejected_not_truncated() {
+        use super::varint::{write_i64, write_u64};
+        // 2^32 + 1 truncates to 1 under an `as u32` cast.
+        const WIDE: u64 = (1 << 32) + 1;
+        // An event row: tag, region, start delta, duration, wait, then a
+        // Send's comm tag, peer, message tag and size.
+        let event_row = |region: u64, peer: u64, tag: u64| {
+            let mut row = vec![encode::tags::RECORD_EVENT];
+            write_u64(&mut row, region);
+            write_i64(&mut row, 10);
+            write_u64(&mut row, 5);
+            write_u64(&mut row, 0);
+            row.push(encode::tags::COMM_SEND);
+            write_u64(&mut row, peer);
+            write_u64(&mut row, tag);
+            write_u64(&mut row, 64);
+            row
+        };
+        let read = |row: &[u8]| read_record(&mut Reader::new(row), Time::ZERO).map(|(r, _)| r);
+        assert!(read(&event_row(1, 1, 1)).is_ok());
+        for (row, field) in [
+            (event_row(WIDE, 1, 1), "region id"),
+            (event_row(1, WIDE, 1), "peer rank"),
+            (event_row(1, 1, WIDE), "message tag"),
+        ] {
+            assert_eq!(
+                read(&row),
+                Err(CodecError::FieldOutOfRange { field, value: WIDE })
+            );
+        }
+        let mut marker = vec![encode::tags::RECORD_SEGMENT_BEGIN];
+        write_u64(&mut marker, WIDE);
+        write_i64(&mut marker, 0);
+        assert!(matches!(
+            read(&marker),
+            Err(CodecError::FieldOutOfRange {
+                field: "context id",
+                ..
+            })
+        ));
+        assert!(CodecError::FieldOutOfRange {
+            field: "peer rank",
+            value: WIDE
+        }
+        .to_string()
+        .contains("peer rank 4294967297"));
     }
 
     #[test]

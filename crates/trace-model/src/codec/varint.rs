@@ -25,6 +25,7 @@ pub fn write_i64(out: &mut Vec<u8>, value: i64) {
 }
 
 /// Reads an unsigned LEB128 varint.
+#[inline]
 pub fn read_u64(reader: &mut Reader<'_>) -> Result<u64, CodecError> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
@@ -46,16 +47,19 @@ pub fn read_u64(reader: &mut Reader<'_>) -> Result<u64, CodecError> {
 }
 
 /// Reads a zig-zag-encoded signed LEB128 varint.
+#[inline]
 pub fn read_i64(reader: &mut Reader<'_>) -> Result<i64, CodecError> {
     Ok(zigzag_decode(read_u64(reader)?))
 }
 
 /// Zig-zag encodes a signed value so small magnitudes stay small.
+#[inline]
 pub fn zigzag_encode(value: i64) -> u64 {
     ((value << 1) ^ (value >> 63)) as u64
 }
 
 /// Inverse of [`zigzag_encode`].
+#[inline]
 pub fn zigzag_decode(value: u64) -> i64 {
     ((value >> 1) as i64) ^ -((value & 1) as i64)
 }
