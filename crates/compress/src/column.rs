@@ -710,9 +710,9 @@ fn decode_stored(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
     let mut out = Vec::with_capacity(payload.len() + payload.len() / 2 + 8);
     write_u64(&mut out, count);
     for _ in 0..count {
-        let id = seg_ids.next(payload)? as u32;
-        let represented = reps.next(payload)? as u32;
-        let context = ContextId(contexts.next(payload)? as u32);
+        let id = seg_ids.next_u32(payload, "stored segment id")?;
+        let represented = reps.next_u32(payload, "represented count")?;
+        let context = ContextId(contexts.next_u32(payload, "context id")?);
         let start = Time::from_nanos(starts.next(payload)?);
         let end = Time::from_nanos(ends.next(payload)?);
         let event_count = counts.next(payload)?;
@@ -778,7 +778,7 @@ fn decode_execs(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
     let mut prev = Time::ZERO;
     for _ in 0..count {
         let exec = SegmentExec {
-            segment: seg_ids.next(payload)? as u32,
+            segment: seg_ids.next_u32(payload, "stored segment id")?,
             start: times.next(payload)?,
         };
         prev = write_exec(&mut out, &exec, prev);

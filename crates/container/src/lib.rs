@@ -14,8 +14,9 @@
 //!   summary counts ([`index::read_index`]), so a seekable consumer can
 //!   hand whole rank sections to parallel workers without scanning;
 //! * [`reader::ChunkReader`] pulls records one at a time over any
-//!   `io::Read` source (the binary analogue of the text stream parser),
-//!   and [`reader::ChunkReader::section`] resumes at an indexed offset;
+//!   `io::Read` source (the binary analogue of the text stream parser) as
+//!   the workspace's one item stream, `trace_model::AppItemSource`, and
+//!   [`reader::ChunkReader::section`] resumes at an indexed offset;
 //! * v1 monolithic files still round-trip through the fallback decoders
 //!   [`reader::decode_app_any`] / [`reader::decode_reduced_any`], keyed by
 //!   the magic bytes;
@@ -54,9 +55,10 @@ pub use index::{read_index, ContainerIndex, RankSectionEntry};
 pub use layout::{ChunkKind, PayloadKind, CONTAINER_MAGIC, CONTAINER_VERSION, INDEX_MAGIC};
 pub use reader::{
     decode_app_any, decode_reduced_any, read_app_container, read_reduced_container, ChunkReader,
-    ContainerItem, Preamble,
 };
 pub use trace_compress::{Codec, CompressError};
+/// The item stream [`ChunkReader`] yields, under its former name.
+pub use trace_model::AppItem as ContainerItem;
 pub use writer::{
     encode_app_container, encode_app_container_obs, encode_reduced_container,
     encode_reduced_container_obs, write_app_container, write_app_container_obs,

@@ -2,14 +2,17 @@
 //!
 //! [`ChunkReader`] pulls one record at a time out of an app-trace container
 //! over any [`std::io::Read`] source, holding at most one chunk in memory —
-//! the binary analogue of the text `trace_stream::StreamParser`.  A
-//! `RECORDS` chunk goes from stored bytes to records in one pass: row
-//! payloads (`none`, `lz`) are parsed with the row codec, columnar ones
-//! (`delta`, `delta-lz`) are read column by column with
+//! the binary analogue of the text `trace_stream::StreamParser`.  It yields
+//! the workspace's one item stream, [`trace_model::AppItem`] through
+//! [`trace_model::AppItemSource`], and returns the file's
+//! [`TraceHeader`].  A `RECORDS` chunk goes from stored bytes to records in
+//! one pass: row payloads (`none`, `lz`) are parsed with the row codec,
+//! columnar ones (`delta`, `delta-lz`) are read column by column with
 //! [`trace_compress::RecordColumns`], and no row bytes are rebuilt.
-//! [`read_reduced_container`] materializes a reduced trace chunk by chunk,
-//! and [`decode_app_any`] / [`decode_reduced_any`] fall back to the
-//! monolithic v1 codec when the magic bytes say so.
+//! [`read_reduced_container`] materializes a reduced trace chunk by chunk
+//! with the same framing checks (file open, `RANK_BEGIN`/`RANK_END`,
+//! `INDEX` plus trailer), and [`decode_app_any`] / [`decode_reduced_any`]
+//! fall back to the monolithic v1 codec when the magic bytes say so.
 
 use std::io::Read;
 
@@ -18,31 +21,17 @@ use trace_compress::{Codec, RecordColumns};
 use trace_model::codec::varint::read_u64 as varint_read_u64;
 use trace_model::codec::{
     decode_app_trace, decode_reduced_trace, read_exec, read_record, read_stored_segment,
-    read_string, read_string_table, Reader, APP_TRACE_MAGIC, REDUCED_TRACE_MAGIC,
+    read_string, read_string_table, CodecError, Reader, APP_TRACE_MAGIC, REDUCED_TRACE_MAGIC,
 };
 use trace_model::{
-    AppTrace, ContextTable, Rank, RankTrace, ReducedAppTrace, ReducedRankTrace, RegionTable, Time,
-    TraceRecord,
+    AppItem, AppItemSource, AppTrace, ContextTable, Rank, ReducedAppTrace, ReducedRankTrace,
+    RegionTable, Time, TraceHeader, TraceRecord,
 };
 
 use crate::error::ContainerError;
 use crate::layout::{
     read_header, ChunkFrame, ChunkKind, ChunkStream, PayloadKind, CONTAINER_MAGIC,
 };
-
-/// The decoded preamble chunk: program name, declared rank count and the
-/// interned string tables shared by every section.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Preamble {
-    /// The traced program's name.
-    pub name: String,
-    /// Number of rank sections the file declares.
-    pub declared_ranks: usize,
-    /// Region (code location) names.
-    pub regions: RegionTable,
-    /// Segment context names.
-    pub contexts: ContextTable,
-}
 
 /// Reads a varint rank field, rejecting values outside the 32-bit rank
 /// space instead of truncating them.
@@ -54,30 +43,108 @@ pub(crate) fn read_rank(
     u32::try_from(value).map_err(|_| ContainerError::RankOutOfRange { what, value })
 }
 
-fn parse_preamble(payload: &[u8]) -> Result<Preamble, ContainerError> {
-    let mut reader = Reader::new(payload);
+/// Opens a container that must carry a `kind` payload: validates the file
+/// header and decodes the PREAMBLE chunk that follows it.
+fn open_container<R: Read>(
+    reader: R,
+    kind: PayloadKind,
+) -> Result<(ChunkStream<R>, TraceHeader), ContainerError> {
+    let mut stream = ChunkStream::new(reader, 0);
+    let found = read_header(&mut stream)?;
+    if found != kind {
+        let (expected, found) = match kind {
+            PayloadKind::App => ("an app payload (kind byte 0)", "a reduced payload"),
+            PayloadKind::Reduced => ("a reduced payload (kind byte 1)", "an app payload"),
+        };
+        return Err(ContainerError::UnexpectedChunk { expected, found });
+    }
+    let chunk = stream.next_chunk()?;
+    if chunk.kind != ChunkKind::Preamble {
+        return Err(ContainerError::UnexpectedChunk {
+            expected: "PREAMBLE",
+            found: chunk.kind.name(),
+        });
+    }
+    let mut reader = Reader::new(&chunk.payload);
     let name = read_string(&mut reader)?;
     let regions = RegionTable::from_names(read_string_table(&mut reader)?);
     let contexts = ContextTable::from_names(read_string_table(&mut reader)?);
     let declared_ranks = read_rank(&mut reader, "declared rank count")? as usize;
-    Ok(Preamble {
+    let header = TraceHeader {
         name,
         declared_ranks,
         regions,
         contexts,
-    })
+    };
+    Ok((stream, header))
 }
 
-/// One item pulled from an app-trace container, mirroring the text
-/// streaming parser's item stream.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ContainerItem {
-    /// A rank section opened.
-    RankStart(Rank),
-    /// A record inside the open section.
-    Record(TraceRecord),
-    /// The open rank section closed.
-    RankEnd(Rank),
+/// The rank a `RANK_BEGIN` payload opens.
+fn rank_begin(payload: &[u8]) -> Result<Rank, ContainerError> {
+    Ok(Rank(read_rank(
+        &mut Reader::new(payload),
+        "RANK_BEGIN rank",
+    )?))
+}
+
+/// What a rank section held, counted as it was read; its `RANK_END` chunk
+/// must declare the same.  A reduced section counts its stored segments
+/// and executions as `segments` and `events`, their sum as `records`.
+#[derive(Clone, Copy, Debug, Default)]
+struct SectionCounts {
+    records: u64,
+    segments: u64,
+    events: u64,
+}
+
+/// Checks that a `RANK_END` payload closes `rank` with the `found` counts.
+fn check_rank_end(payload: &[u8], rank: Rank, found: SectionCounts) -> Result<(), ContainerError> {
+    let mut reader = Reader::new(payload);
+    let end_rank = Rank(read_rank(&mut reader, "RANK_END rank")?);
+    let _chunks = varint_read_u64(&mut reader)?;
+    let records = varint_read_u64(&mut reader)?;
+    let segments = varint_read_u64(&mut reader)?;
+    let events = varint_read_u64(&mut reader)?;
+    if end_rank != rank {
+        return Err(ContainerError::UnexpectedChunk {
+            expected: "RANK_END for the open rank",
+            found: "RANK_END for another rank",
+        });
+    }
+    for (what, declared, found) in [
+        ("section records", records, found.records),
+        ("section segments", segments, found.segments),
+        ("section events", events, found.events),
+    ] {
+        if declared != found {
+            return Err(ContainerError::CountMismatch {
+                what,
+                declared,
+                found,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Checks the `INDEX` chunk at `offset` against the header's declared rank
+/// count and the `ranks_seen` sections read, then the trailer after it.
+fn finish_index<R: Read>(
+    stream: &mut ChunkStream<R>,
+    offset: u64,
+    payload: &[u8],
+    declared: usize,
+    ranks_seen: usize,
+) -> Result<(), ContainerError> {
+    let sections = crate::index::parse_index_payload(payload)?;
+    if ranks_seen != declared || sections.len() != declared {
+        return Err(ContainerError::CountMismatch {
+            what: "rank sections",
+            declared: declared as u64,
+            found: ranks_seen as u64,
+        });
+    }
+    stream.finish_trailer(offset)
 }
 
 /// Row cursor over an uncompressed (`none`) or LZ-decompressed (`lz`)
@@ -190,18 +257,11 @@ impl ChunkCursor {
     }
 }
 
-struct SectionProgress {
-    rank: Rank,
-    records: u64,
-    segments: u64,
-    events: u64,
-}
-
 enum ReaderState {
     /// Between rank sections.
     Idle,
     /// Inside a rank section, decoding `RECORDS` chunks.
-    InSection(SectionProgress),
+    InSection(Rank, SectionCounts),
     /// The index (or the single section) has been consumed.
     Done,
 }
@@ -211,10 +271,12 @@ enum ReaderState {
 /// [`ChunkReader::new`] reads the header and preamble and then iterates the
 /// whole file; [`ChunkReader::section`] starts directly at a `RANK_BEGIN`
 /// chunk (located via the index footer) and yields exactly that section —
-/// the entry point the index-sharded parallel ingestion uses.
+/// the entry point the index-sharded parallel ingestion uses.  Either way
+/// it is an [`AppItemSource`] with [`ContainerError`] as its error.
 pub struct ChunkReader<R> {
     stream: ChunkStream<R>,
-    preamble: Option<Preamble>,
+    /// The decoded PREAMBLE; empty for a section reader.
+    header: TraceHeader,
     state: ReaderState,
     cursor: ChunkCursor,
     ranks_seen: usize,
@@ -225,24 +287,10 @@ impl<R: Read> ChunkReader<R> {
     /// Opens a whole container: validates the header, requires an app
     /// payload, and decodes the preamble chunk.
     pub fn new(reader: R) -> Result<Self, ContainerError> {
-        let mut stream = ChunkStream::new(reader, 0);
-        let kind = read_header(&mut stream)?;
-        if kind != PayloadKind::App {
-            return Err(ContainerError::UnexpectedChunk {
-                expected: "an app payload (kind byte 0)",
-                found: "a reduced payload",
-            });
-        }
-        let chunk = stream.next_chunk()?;
-        if chunk.kind != ChunkKind::Preamble {
-            return Err(ContainerError::UnexpectedChunk {
-                expected: "PREAMBLE",
-                found: chunk.kind.name(),
-            });
-        }
+        let (stream, header) = open_container(reader, PayloadKind::App)?;
         Ok(ChunkReader {
             stream,
-            preamble: Some(parse_preamble(&chunk.payload)?),
+            header,
             state: ReaderState::Idle,
             cursor: ChunkCursor::default(),
             ranks_seen: 0,
@@ -257,7 +305,7 @@ impl<R: Read> ChunkReader<R> {
     pub fn section(reader: R, offset: u64) -> Self {
         ChunkReader {
             stream: ChunkStream::new(reader, offset),
-            preamble: None,
+            header: TraceHeader::default(),
             state: ReaderState::Idle,
             cursor: ChunkCursor::default(),
             ranks_seen: 0,
@@ -265,9 +313,16 @@ impl<R: Read> ChunkReader<R> {
         }
     }
 
-    /// The preamble tables ([`ChunkReader::new`] mode only).
-    pub fn preamble(&self) -> Option<&Preamble> {
-        self.preamble.as_ref()
+    /// The header decoded from the preamble ([`ChunkReader::new`] mode
+    /// only).
+    pub fn preamble(&self) -> Option<&TraceHeader> {
+        (!self.single_section).then_some(&self.header)
+    }
+
+    /// The header decoded from the preamble; empty for a
+    /// [`ChunkReader::section`] reader, which never reads that chunk.
+    pub fn into_header(self) -> TraceHeader {
+        self.header
     }
 
     /// Number of complete rank sections consumed so far.
@@ -290,49 +345,6 @@ impl<R: Read> ChunkReader<R> {
         self.stream.set_obs(obs);
     }
 
-    fn end_section(&mut self, payload: &[u8]) -> Result<ContainerItem, ContainerError> {
-        let ReaderState::InSection(progress) =
-            std::mem::replace(&mut self.state, ReaderState::Idle)
-        else {
-            // Only reachable through a caller bug; still a typed error so the
-            // decode surface stays panic-free.
-            return Err(ContainerError::UnexpectedChunk {
-                expected: "an open rank section at RANK_END",
-                found: "no open section",
-            });
-        };
-        let mut reader = Reader::new(payload);
-        let rank = Rank(read_rank(&mut reader, "RANK_END rank")?);
-        let _chunks = varint_read_u64(&mut reader)?;
-        let records = varint_read_u64(&mut reader)?;
-        let segments = varint_read_u64(&mut reader)?;
-        let events = varint_read_u64(&mut reader)?;
-        if rank != progress.rank {
-            return Err(ContainerError::UnexpectedChunk {
-                expected: "RANK_END for the open rank",
-                found: "RANK_END for another rank",
-            });
-        }
-        for (what, declared, found) in [
-            ("section records", records, progress.records),
-            ("section segments", segments, progress.segments),
-            ("section events", events, progress.events),
-        ] {
-            if declared != found {
-                return Err(ContainerError::CountMismatch {
-                    what,
-                    declared,
-                    found,
-                });
-            }
-        }
-        self.ranks_seen += 1;
-        if self.single_section {
-            self.state = ReaderState::Done;
-        }
-        Ok(ContainerItem::RankEnd(rank))
-    }
-
     /// The payload of a non-`RECORDS` chunk whose stored bytes were just
     /// read into the cursor's buffer, decompressed.
     fn control_payload(&mut self, frame: ChunkFrame) -> Result<Vec<u8>, ContainerError> {
@@ -345,65 +357,58 @@ impl<R: Read> ChunkReader<R> {
 
     /// Pulls the next item, or `Ok(None)` once the index footer (or, in
     /// section mode, the section's `RANK_END`) has been consumed.
-    pub fn next_item(&mut self) -> Result<Option<ContainerItem>, ContainerError> {
+    pub fn next_item(&mut self) -> Result<Option<AppItem>, ContainerError> {
         loop {
             match &mut self.state {
                 ReaderState::Done => return Ok(None),
-                ReaderState::InSection(progress) => {
+                ReaderState::InSection(rank, counts) => {
                     if let Some(record) = self.cursor.next_record()? {
-                        progress.records += 1;
+                        counts.records += 1;
                         match &record {
-                            TraceRecord::Event(_) => progress.events += 1,
-                            TraceRecord::SegmentEnd { .. } => progress.segments += 1,
+                            TraceRecord::Event(_) => counts.events += 1,
+                            TraceRecord::SegmentEnd { .. } => counts.segments += 1,
                             TraceRecord::SegmentBegin { .. } => {}
                         }
-                        return Ok(Some(ContainerItem::Record(record)));
+                        return Ok(Some(AppItem::Record(record)));
                     }
+                    let (rank, counts) = (*rank, *counts);
                     let frame = self.stream.read_stored(&mut self.cursor.stored)?;
                     if frame.kind == ChunkKind::Records {
                         self.cursor.load(frame.codec, &mut self.stream)?;
                         continue;
                     }
-                    let payload = self.control_payload(frame)?;
-                    match frame.kind {
-                        ChunkKind::RankEnd => return Ok(Some(self.end_section(&payload)?)),
-                        other => {
-                            return Err(ContainerError::UnexpectedChunk {
-                                expected: "RECORDS or RANK_END",
-                                found: other.name(),
-                            })
-                        }
+                    if frame.kind != ChunkKind::RankEnd {
+                        return Err(ContainerError::UnexpectedChunk {
+                            expected: "RECORDS or RANK_END",
+                            found: frame.kind.name(),
+                        });
                     }
+                    check_rank_end(&self.control_payload(frame)?, rank, counts)?;
+                    self.ranks_seen += 1;
+                    self.state = if self.single_section {
+                        ReaderState::Done
+                    } else {
+                        ReaderState::Idle
+                    };
+                    return Ok(Some(AppItem::RankEnd(rank)));
                 }
                 ReaderState::Idle => {
                     let frame = self.stream.read_stored(&mut self.cursor.stored)?;
                     let payload = self.control_payload(frame)?;
                     match frame.kind {
                         ChunkKind::RankBegin => {
-                            let mut reader = Reader::new(&payload);
-                            let rank = Rank(read_rank(&mut reader, "RANK_BEGIN rank")?);
-                            self.state = ReaderState::InSection(SectionProgress {
-                                rank,
-                                records: 0,
-                                segments: 0,
-                                events: 0,
-                            });
-                            return Ok(Some(ContainerItem::RankStart(rank)));
+                            let rank = rank_begin(&payload)?;
+                            self.state = ReaderState::InSection(rank, SectionCounts::default());
+                            return Ok(Some(AppItem::RankStart(rank)));
                         }
                         ChunkKind::Index => {
-                            let sections = crate::index::parse_index_payload(&payload)?;
-                            let declared = self
-                                .preamble
-                                .as_ref()
-                                .map_or(sections.len(), |p| p.declared_ranks);
-                            if self.ranks_seen != declared || sections.len() != declared {
-                                return Err(ContainerError::CountMismatch {
-                                    what: "rank sections",
-                                    declared: declared as u64,
-                                    found: self.ranks_seen as u64,
-                                });
-                            }
-                            self.stream.finish_trailer(frame.offset)?;
+                            finish_index(
+                                &mut self.stream,
+                                frame.offset,
+                                &payload,
+                                self.header.declared_ranks,
+                                self.ranks_seen,
+                            )?;
                             self.state = ReaderState::Done;
                             return Ok(None);
                         }
@@ -420,99 +425,46 @@ impl<R: Read> ChunkReader<R> {
     }
 }
 
+impl<R: Read> AppItemSource for ChunkReader<R> {
+    type Error = ContainerError;
+
+    fn next_item(&mut self) -> Result<Option<AppItem>, ContainerError> {
+        ChunkReader::next_item(self)
+    }
+
+    fn peak_chunk_bytes(&self) -> usize {
+        ChunkReader::peak_chunk_bytes(self)
+    }
+}
+
 /// Materializes a full [`AppTrace`] from an app-trace container.
 pub fn read_app_container<R: Read>(reader: R) -> Result<AppTrace, ContainerError> {
     let mut chunks = ChunkReader::new(reader)?;
-    let Some(preamble) = chunks.preamble().cloned() else {
-        return Err(ContainerError::UnexpectedChunk {
-            expected: "a decoded PREAMBLE (whole-file mode)",
-            found: "a section-mode reader",
-        });
-    };
-    let mut app = AppTrace {
-        name: preamble.name,
-        regions: preamble.regions,
-        contexts: preamble.contexts,
-        // The declared count is untrusted: cap the preallocation.
-        ranks: Vec::with_capacity(preamble.declared_ranks.min(1 << 16)),
-    };
-    let mut open: Option<RankTrace> = None;
-    while let Some(item) = chunks.next_item()? {
-        match item {
-            ContainerItem::RankStart(rank) => open = Some(RankTrace::new(rank)),
-            ContainerItem::Record(record) => open
-                .as_mut()
-                .ok_or(ContainerError::UnexpectedChunk {
-                    expected: "RANK_BEGIN",
-                    found: "RECORDS",
-                })?
-                .push(record),
-            ContainerItem::RankEnd(_) => {
-                let section = open.take().ok_or(ContainerError::UnexpectedChunk {
-                    expected: "RANK_BEGIN",
-                    found: "RANK_END",
-                })?;
-                app.ranks.push(section);
-            }
-        }
-    }
-    Ok(app)
+    let ranks = chunks.collect_ranks()?;
+    Ok(chunks.header.app(ranks))
 }
 
 /// Materializes a [`ReducedAppTrace`] from a reduced-trace container,
-/// decoding one chunk at a time.
+/// decoding one chunk at a time.  Stored ids must be dense and every
+/// execution must reference a stored segment
+/// ([`ReducedRankTrace::push_stored`] / [`ReducedRankTrace::check_exec`],
+/// checked when the section ends).
 pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, ContainerError> {
-    let mut stream = ChunkStream::new(reader, 0);
-    let kind = read_header(&mut stream)?;
-    if kind != PayloadKind::Reduced {
-        return Err(ContainerError::UnexpectedChunk {
-            expected: "a reduced payload (kind byte 1)",
-            found: "an app payload",
-        });
-    }
-    let chunk = stream.next_chunk()?;
-    if chunk.kind != ChunkKind::Preamble {
-        return Err(ContainerError::UnexpectedChunk {
-            expected: "PREAMBLE",
-            found: chunk.kind.name(),
-        });
-    }
-    let preamble = parse_preamble(&chunk.payload)?;
-    let mut reduced = ReducedAppTrace {
-        name: preamble.name,
-        regions: preamble.regions,
-        contexts: preamble.contexts,
-        // The declared count is untrusted: cap the preallocation.
-        ranks: Vec::with_capacity(preamble.declared_ranks.min(1 << 16)),
-    };
-
+    let (mut stream, header) = open_container(reader, PayloadKind::Reduced)?;
+    let mut ranks = Vec::new();
     let mut open: Option<ReducedRankTrace> = None;
-    // Latches once the section's first EXECS chunk arrives: the format
-    // requires all STORED chunks to precede all EXECS chunks (spec
-    // invariant 3), matching the only order the writer produces.
+    // Latches at the section's first EXECS chunk: the format requires all
+    // STORED chunks to precede all EXECS chunks (spec invariant 3), the
+    // only order the writer produces.
     let mut exec_phase = false;
     loop {
         let chunk = stream.next_chunk()?;
-        match chunk.kind {
-            ChunkKind::RankBegin => {
-                if open.is_some() {
-                    return Err(ContainerError::UnexpectedChunk {
-                        expected: "STORED, EXECS or RANK_END",
-                        found: "RANK_BEGIN",
-                    });
-                }
-                let mut reader = Reader::new(&chunk.payload);
-                open = Some(ReducedRankTrace::new(Rank(read_rank(
-                    &mut reader,
-                    "RANK_BEGIN rank",
-                )?)));
+        match (chunk.kind, open.as_mut()) {
+            (ChunkKind::RankBegin, None) => {
+                open = Some(ReducedRankTrace::new(rank_begin(&chunk.payload)?));
                 exec_phase = false;
             }
-            ChunkKind::Stored => {
-                let rank = open.as_mut().ok_or(ContainerError::UnexpectedChunk {
-                    expected: "RANK_BEGIN",
-                    found: "STORED",
-                })?;
+            (ChunkKind::Stored, Some(rank)) => {
                 if exec_phase {
                     return Err(ContainerError::UnexpectedChunk {
                         expected: "EXECS or RANK_END (stored segments precede executions)",
@@ -522,7 +474,8 @@ pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, Con
                 let mut reader = Reader::new(&chunk.payload);
                 let count = varint_read_u64(&mut reader)?;
                 for _ in 0..count {
-                    rank.stored.push(read_stored_segment(&mut reader)?);
+                    rank.push_stored(read_stored_segment(&mut reader)?)
+                        .map_err(CodecError::from)?;
                 }
                 if !reader.is_at_end() {
                     return Err(ContainerError::TrailingBytes {
@@ -531,11 +484,7 @@ pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, Con
                     });
                 }
             }
-            ChunkKind::Execs => {
-                let rank = open.as_mut().ok_or(ContainerError::UnexpectedChunk {
-                    expected: "RANK_BEGIN",
-                    found: "EXECS",
-                })?;
+            (ChunkKind::Execs, Some(rank)) => {
                 exec_phase = true;
                 let mut reader = Reader::new(&chunk.payload);
                 let count = varint_read_u64(&mut reader)?;
@@ -552,63 +501,37 @@ pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, Con
                     });
                 }
             }
-            ChunkKind::RankEnd => {
-                let rank = open.take().ok_or(ContainerError::UnexpectedChunk {
-                    expected: "RANK_BEGIN",
-                    found: "RANK_END",
-                })?;
-                let mut reader = Reader::new(&chunk.payload);
-                let end_rank = Rank(read_rank(&mut reader, "RANK_END rank")?);
-                let _chunks = varint_read_u64(&mut reader)?;
-                let records = varint_read_u64(&mut reader)?;
-                let segments = varint_read_u64(&mut reader)?;
-                let events = varint_read_u64(&mut reader)?;
-                if end_rank != rank.rank {
-                    return Err(ContainerError::UnexpectedChunk {
-                        expected: "RANK_END for the open rank",
-                        found: "RANK_END for another rank",
-                    });
+            (ChunkKind::RankEnd, Some(rank)) => {
+                for exec in &rank.execs {
+                    rank.check_exec(exec).map_err(CodecError::from)?;
                 }
-                let found = (rank.stored.len() + rank.execs.len()) as u64;
-                if records != found {
-                    return Err(ContainerError::CountMismatch {
-                        what: "reduced section items",
-                        declared: records,
-                        found,
-                    });
-                }
-                if segments != rank.stored.len() as u64 || events != rank.execs.len() as u64 {
-                    return Err(ContainerError::CountMismatch {
-                        what: "reduced section stored/exec split",
-                        declared: segments,
-                        found: rank.stored.len() as u64,
-                    });
-                }
-                reduced.ranks.push(rank);
+                let counts = SectionCounts {
+                    records: (rank.stored.len() + rank.execs.len()) as u64,
+                    segments: rank.stored.len() as u64,
+                    events: rank.execs.len() as u64,
+                };
+                check_rank_end(&chunk.payload, rank.rank, counts)?;
+                ranks.extend(open.take());
             }
-            ChunkKind::Index => {
-                if open.is_some() {
-                    return Err(ContainerError::UnexpectedChunk {
-                        expected: "RANK_END",
-                        found: "INDEX",
-                    });
-                }
-                let sections = crate::index::parse_index_payload(&chunk.payload)?;
-                if reduced.ranks.len() != preamble.declared_ranks
-                    || sections.len() != preamble.declared_ranks
-                {
-                    return Err(ContainerError::CountMismatch {
-                        what: "rank sections",
-                        declared: preamble.declared_ranks as u64,
-                        found: reduced.ranks.len() as u64,
-                    });
-                }
-                stream.finish_trailer(chunk.offset)?;
-                return Ok(reduced);
+            (ChunkKind::Index, None) => {
+                finish_index(
+                    &mut stream,
+                    chunk.offset,
+                    &chunk.payload,
+                    header.declared_ranks,
+                    ranks.len(),
+                )?;
+                return Ok(header.reduced(ranks));
             }
-            other => {
+            (other, Some(_)) => {
                 return Err(ContainerError::UnexpectedChunk {
-                    expected: "a section or INDEX chunk",
+                    expected: "STORED, EXECS or RANK_END",
+                    found: other.name(),
+                })
+            }
+            (other, None) => {
+                return Err(ContainerError::UnexpectedChunk {
+                    expected: "RANK_BEGIN or INDEX",
                     found: other.name(),
                 })
             }

@@ -28,8 +28,8 @@
 //!   order so first-match semantics are preserved bit-identically
 //!   (`docs/index-design.md`; the linear scan survives as
 //!   [`CandidateSearch::LinearScan`]).
-//! * [`source`] / [`parallel`] — the reduction driver: one record →
-//!   segment → match loop ([`SectionReducer`]) over any [`AppItemSource`],
+//! * [`parallel`] — the reduction driver: one record → segment → match
+//!   loop ([`SectionReducer`]) over any [`trace_model::AppItemSource`],
 //!   run over independent rank-section partitions on crossbeam scoped
 //!   threads ([`reduce_sections`]; each rank is reduced independently,
 //!   exactly as the paper's intra-process technique allows).  The
@@ -73,7 +73,6 @@ pub mod metric;
 pub mod parallel;
 pub mod reducer;
 pub mod segmenter;
-pub mod source;
 
 pub use dtw::{dtw_distance, dtw_within, normalized_dtw_distance};
 pub use extended::{segments_match_extended, ExtendedConfig, ExtendedMethod};
@@ -87,4 +86,3 @@ pub use reducer::{
     RankReduction, Reducer,
 };
 pub use segmenter::{segments_of_rank, OnlineSegmenter, SegmentationStats};
-pub use source::{AppItem, AppItemSource, RankItems};

@@ -18,12 +18,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use crossbeam::thread;
 use parking_lot::Mutex;
 
-use trace_model::{ReducedRankTrace, TraceRecord};
+use trace_model::{AppItem, AppItemSource, ReducedRankTrace, TraceRecord};
 
 use crate::features::{MatchScratch, MatchStats};
 use crate::reducer::{OnlineRankReducer, RankReduction, Reducer};
 use crate::segmenter::OnlineSegmenter;
-use crate::source::{AppItem, AppItemSource};
 
 /// Instrumentation counters from one reduction run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -305,9 +304,8 @@ where
 mod tests {
     use super::*;
     use crate::method::Method;
-    use crate::source::RankItems;
     use std::convert::Infallible;
-    use trace_model::AppTrace;
+    use trace_model::{AppTrace, RankItems};
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
     /// Reduces `app` with one partition per rank on `workers` threads.

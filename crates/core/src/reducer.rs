@@ -37,8 +37,8 @@
 use std::collections::BTreeMap;
 
 use trace_model::{
-    AppTrace, Rank, RankTrace, ReducedAppTrace, ReducedRankTrace, Segment, SegmentExec, SegmentKey,
-    StoredSegment, Time,
+    AppTrace, Rank, RankItems, RankTrace, ReducedAppTrace, ReducedRankTrace, Segment, SegmentExec,
+    SegmentKey, StoredSegment, Time,
 };
 
 use crate::extended::{segments_match_extended, CachedKernel, ExtendedConfig, ExtendedMethod};
@@ -49,7 +49,6 @@ use crate::index::{CandidateIndex, CandidateSearch};
 use crate::method::{Method, MethodConfig};
 use crate::parallel::SectionReducer;
 use crate::segmenter::{segments_of_rank_with_stats, SegmentationStats};
-use crate::source::RankItems;
 
 /// The result of reducing one rank's trace.
 #[derive(Clone, Debug, PartialEq)]

@@ -14,8 +14,10 @@
 //!   record by record via [`write::AppTraceTextWriter`].
 //! * [`parse`] — parse them back, validating record structure, identifier
 //!   references and time-stamp ordering.
-//! * [`record`] — the line-level record grammar shared by [`parse`] and the
-//!   streaming parser in the `trace_stream` crate.
+//! * [`record`] — the line-level grammar shared by [`parse`] and the
+//!   streaming parser in the `trace_stream` crate: the full-trace grammar
+//!   is one line-fed parser ([`AppLineParser`]) that yields
+//!   `trace_model::AppItem`s under a `trace_model::TraceHeader`.
 //! * [`error::FormatError`] — the error type carrying the offending line.
 //!
 //! The binary codec in `trace-model` remains the format used for file-size
@@ -32,7 +34,7 @@ pub mod write;
 
 pub use error::FormatError;
 pub use parse::{parse_app_trace, parse_reduced_trace};
-pub use record::{parse_app_body_line, AppBodyLine, HeaderBuilder, TraceTables};
+pub use record::{AppLineParser, HeaderBuilder};
 pub use write::{
     write_app_trace, write_app_trace_to, write_reduced_trace, write_reduced_trace_to,
     AppTraceTextWriter,

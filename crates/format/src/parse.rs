@@ -1,21 +1,22 @@
 //! Parsers for the text trace format.
 //!
-//! These parsers materialize a whole trace from an in-memory `&str`.  The
-//! line-level record parsing is shared with the streaming path (the
-//! `trace_stream` crate) via [`crate::record`], so both parsers accept
-//! exactly the same language.
+//! These parsers materialize a whole trace from an in-memory `&str`.  A
+//! full trace is the one line-fed grammar of [`crate::record`] driven over
+//! `str::lines` and collected into an [`AppTrace`]; the streaming path (the
+//! `trace_stream` crate) feeds the same grammar from a `BufRead` source, so
+//! both accept exactly the same language.
 
 use trace_model::{
-    AppTrace, RankTrace, ReducedAppTrace, ReducedRankTrace, Segment, SegmentExec, StoredSegment,
-    Time,
+    AppItem, AppItemSource, AppTrace, ReducedAppTrace, ReducedRankTrace, Segment, SegmentExec,
+    StoredSegment, Time,
 };
 
 use crate::error::FormatError;
 use crate::record::{
-    parse_app_body_line, parse_context_ref, parse_event_line, parse_u32, parse_u64, AppBodyLine,
-    HeaderBuilder, TraceTables,
+    meaningful_line, parse_context_ref, parse_event_line, parse_u32, parse_u64, AppLineParser,
+    HeaderBuilder,
 };
-use crate::write::{APP_HEADER, REDUCED_HEADER};
+use crate::write::REDUCED_HEADER;
 
 /// A line with its 1-based number, with blank and comment lines skipped.
 struct Lines<'a> {
@@ -31,7 +32,7 @@ impl<'a> Lines<'a> {
 
     fn next(&mut self) -> Option<(usize, &'a str)> {
         for (index, line) in self.inner.by_ref() {
-            if let Some(trimmed) = crate::record::meaningful_line(line) {
+            if let Some(trimmed) = meaningful_line(line) {
                 return Some((index + 1, trimmed));
             }
         }
@@ -45,110 +46,52 @@ impl<'a> Lines<'a> {
     }
 }
 
-/// Checks the magic first line of a trace file.
-fn expect_magic(lines: &mut Lines<'_>, magic: &str) -> Result<(), FormatError> {
-    let (line_no, first) = lines.require("header")?;
-    if first != magic {
-        return Err(FormatError::at(
-            line_no,
-            format!("expected header {magic:?}, found {first:?}"),
-        ));
-    }
-    Ok(())
+/// The full-trace grammar fed from the lines of a `&str`.
+struct TextItems<'a> {
+    lines: std::str::Lines<'a>,
+    parser: AppLineParser,
 }
 
-/// Parses the shared header, returning the tables plus the first body line
-/// (already consumed from the iterator) for the caller to process.
-fn parse_header(
-    lines: &mut Lines<'_>,
-) -> Result<(TraceTables, Option<(usize, String)>), FormatError> {
-    let mut builder = HeaderBuilder::new();
-    loop {
-        let (line_no, line) = lines.require(builder.expecting())?;
-        if !builder.feed(line_no, line)? {
-            return Ok((builder.finish()?, Some((line_no, line.to_string()))));
+impl AppItemSource for TextItems<'_> {
+    type Error = FormatError;
+
+    fn next_item(&mut self) -> Result<Option<AppItem>, FormatError> {
+        while !self.parser.is_done() {
+            let Some(line) = self.lines.next() else {
+                return Err(self.parser.unexpected_end());
+            };
+            if let Some(item) = self.parser.feed(line)? {
+                return Ok(Some(item));
+            }
         }
+        Ok(None)
     }
 }
 
 /// Parses the text form of a full application trace.
 pub fn parse_app_trace(text: &str) -> Result<AppTrace, FormatError> {
-    let mut lines = Lines::new(text);
-    expect_magic(&mut lines, APP_HEADER)?;
-    let (tables, mut pending) = parse_header(&mut lines)?;
-    let mut app = AppTrace {
-        name: tables.name.clone(),
-        regions: tables.regions.clone(),
-        contexts: tables.contexts.clone(),
-        ranks: Vec::with_capacity(tables.declared_ranks),
+    let mut items = TextItems {
+        lines: text.lines(),
+        parser: AppLineParser::new(),
     };
-
-    let mut open_rank: Option<RankTrace> = None;
-    loop {
-        let (line_no, line) = match pending.take() {
-            Some((n, l)) => (n, l),
-            None => {
-                let what = if open_rank.is_some() {
-                    "rank records or END_RANK"
-                } else {
-                    "RANK or END_TRACE"
-                };
-                let (n, l) = lines.require(what)?;
-                (n, l.to_string())
-            }
-        };
-        // `parse_app_body_line` only yields records and END_RANK when told a
-        // rank section is open, so these arms report a parser bug as a
-        // structural error instead of trusting the invariant with a panic.
-        match parse_app_body_line(&tables, line_no, &line, open_rank.is_some())? {
-            AppBodyLine::RankStart(rank) => open_rank = Some(RankTrace::new(rank)),
-            AppBodyLine::Record(record) => match open_rank.as_mut() {
-                Some(rank) => rank.push(record),
-                None => {
-                    return Err(FormatError::at(line_no, "record outside a rank section"));
-                }
-            },
-            AppBodyLine::EndRank => match open_rank.take() {
-                Some(rank) => app.ranks.push(rank),
-                None => {
-                    return Err(FormatError::at(line_no, "END_RANK outside a rank section"));
-                }
-            },
-            AppBodyLine::EndTrace => break,
-        }
-    }
-
-    if app.ranks.len() != tables.declared_ranks {
-        return Err(FormatError::structural(format!(
-            "header declares {} ranks but {} rank sections were found",
-            tables.declared_ranks,
-            app.ranks.len()
-        )));
-    }
-    Ok(app)
+    let ranks = items.collect_ranks()?;
+    Ok(items.parser.finish()?.app(ranks))
 }
 
 /// Parses the text form of a reduced application trace.
 pub fn parse_reduced_trace(text: &str) -> Result<ReducedAppTrace, FormatError> {
     let mut lines = Lines::new(text);
-    expect_magic(&mut lines, REDUCED_HEADER)?;
-    let (tables, mut pending) = parse_header(&mut lines)?;
-    let mut reduced = ReducedAppTrace {
-        name: tables.name.clone(),
-        regions: tables.regions.clone(),
-        contexts: tables.contexts.clone(),
-        ranks: Vec::with_capacity(tables.declared_ranks),
+    let mut head = HeaderBuilder::after_magic(REDUCED_HEADER);
+    let (header, mut line) = loop {
+        let (line_no, line) = lines.require(head.expecting())?;
+        if !head.feed(line_no, line)? {
+            break (head.finish()?, (line_no, line));
+        }
     };
-
+    let mut ranks = Vec::new();
     loop {
-        let (line_no, line) = match pending.take() {
-            Some((n, l)) => (n, l),
-            None => {
-                let (n, l) = lines.require("RANK or END_TRACE")?;
-                (n, l.to_string())
-            }
-        };
-        let mut tokens = line.split_whitespace();
+        let (line_no, body) = line;
+        let mut tokens = body.split_whitespace();
         match tokens.next() {
             Some("END_TRACE") => break,
             Some("RANK") => {
@@ -157,26 +100,17 @@ pub fn parse_reduced_trace(text: &str) -> Result<ReducedAppTrace, FormatError> {
                 loop {
                     let (line_no, line) = lines.require("STORED/EXEC records or END_RANK")?;
                     let mut tokens = line.split_whitespace();
-                    match tokens.next() {
+                    let pushed = match tokens.next() {
                         Some("END_RANK") => break,
                         Some("STORED") => {
                             let id = parse_u32(line_no, tokens.next(), "stored segment id")?;
-                            if id as usize != rank.stored.len() {
-                                return Err(FormatError::at(
-                                    line_no,
-                                    format!(
-                                        "stored ids must be dense; expected {} got {id}",
-                                        rank.stored.len()
-                                    ),
-                                ));
-                            }
                             let represented =
                                 parse_u32(line_no, tokens.next(), "represented count")?;
-                            let context = parse_context_ref(&tables, line_no, tokens.next())?;
+                            let context = parse_context_ref(&header, line_no, tokens.next())?;
                             let end = parse_u64(line_no, tokens.next(), "segment end")?;
                             let n_events =
                                 parse_u64(line_no, tokens.next(), "event count")? as usize;
-                            let mut events = Vec::with_capacity(n_events);
+                            let mut events = Vec::new();
                             for _ in 0..n_events {
                                 let (event_line_no, event_line) = lines.require("EVENT line")?;
                                 if !event_line.starts_with("EVENT") {
@@ -185,9 +119,9 @@ pub fn parse_reduced_trace(text: &str) -> Result<ReducedAppTrace, FormatError> {
                                         "expected EVENT line inside a STORED segment",
                                     ));
                                 }
-                                events.push(parse_event_line(&tables, event_line_no, event_line)?);
+                                events.push(parse_event_line(&header, event_line_no, event_line)?);
                             }
-                            rank.stored.push(StoredSegment {
+                            rank.push_stored(StoredSegment {
                                 id,
                                 segment: Segment {
                                     context,
@@ -196,23 +130,16 @@ pub fn parse_reduced_trace(text: &str) -> Result<ReducedAppTrace, FormatError> {
                                     events,
                                 },
                                 represented,
-                            });
+                            })
                         }
                         Some("EXEC") => {
                             let segment = parse_u32(line_no, tokens.next(), "stored segment id")?;
-                            if segment as usize >= rank.stored.len() {
-                                return Err(FormatError::at(
-                                    line_no,
-                                    format!(
-                                        "execution references unknown stored segment {segment}"
-                                    ),
-                                ));
-                            }
                             let start = parse_u64(line_no, tokens.next(), "execution start")?;
-                            rank.execs.push(SegmentExec {
+                            let exec = SegmentExec {
                                 segment,
                                 start: Time::from_nanos(start),
-                            });
+                            };
+                            rank.check_exec(&exec).map(|()| rank.execs.push(exec))
                         }
                         other => {
                             return Err(FormatError::at(
@@ -220,9 +147,10 @@ pub fn parse_reduced_trace(text: &str) -> Result<ReducedAppTrace, FormatError> {
                                 format!("unexpected record {other:?} inside a rank section"),
                             ));
                         }
-                    }
+                    };
+                    pushed.map_err(|e| FormatError::at(line_no, e.to_string()))?;
                 }
-                reduced.ranks.push(rank);
+                ranks.push(rank);
             }
             other => {
                 return Err(FormatError::at(
@@ -231,16 +159,17 @@ pub fn parse_reduced_trace(text: &str) -> Result<ReducedAppTrace, FormatError> {
                 ));
             }
         }
+        line = lines.require("RANK or END_TRACE")?;
     }
 
-    if reduced.ranks.len() != tables.declared_ranks {
+    if ranks.len() != header.declared_ranks {
         return Err(FormatError::structural(format!(
             "header declares {} ranks but {} rank sections were found",
-            tables.declared_ranks,
-            reduced.ranks.len()
+            header.declared_ranks,
+            ranks.len()
         )));
     }
-    Ok(reduced)
+    Ok(header.reduced(ranks))
 }
 
 #[cfg(test)]
@@ -396,6 +325,43 @@ END_TRACE
 ";
         let err = parse_reduced_trace(text).unwrap_err();
         assert!(err.message.contains("unknown stored segment"), "{err}");
+    }
+
+    #[test]
+    fn ids_above_32_bits_are_rejected_on_their_line() {
+        let text = "\
+TRACEFORMAT 1
+TRACE RANKS 1 NAME wide
+REGION 0 do_work
+CONTEXT 0 main.1
+RANK 4294967297
+END_RANK
+END_TRACE
+";
+        let err = parse_app_trace(text).unwrap_err();
+        assert_eq!(err.line, 5);
+        assert!(err.message.contains("rank id 4294967297"), "{err}");
+
+        let wide_region =
+            text.replace("RANK 4294967297", "RANK 0\nEVENT 4294967296 0 10 0 COMPUTE");
+        let err = parse_app_trace(&wide_region).unwrap_err();
+        assert_eq!(err.line, 6);
+        assert!(err.message.contains("region id 4294967296"), "{err}");
+
+        let reduced = text.replace("TRACEFORMAT 1", "TRACEFORMAT_REDUCED 1");
+        let err = parse_reduced_trace(&reduced).unwrap_err();
+        assert_eq!(err.line, 5);
+    }
+
+    #[test]
+    fn huge_declared_counts_are_errors_not_allocations() {
+        let text = "TRACEFORMAT 1\nTRACE RANKS 18446744073709551615 NAME x\nEND_TRACE\n";
+        let err = parse_app_trace(text).unwrap_err();
+        assert!(err.message.contains("rank sections"), "{err}");
+        let reduced = "TRACEFORMAT_REDUCED 1\nTRACE RANKS 1 NAME x\nCONTEXT 0 main\n\
+                       RANK 0\nSTORED 0 1 0 10 18446744073709551615\n";
+        let err = parse_reduced_trace(reduced).unwrap_err();
+        assert!(err.message.contains("expected EVENT line"), "{err}");
     }
 
     #[test]

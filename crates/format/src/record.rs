@@ -1,46 +1,33 @@
-//! Line-level record parsing shared by the in-memory parser and streaming
-//! consumers.
+//! The line-level text grammar, shared by every text reader.
 //!
 //! [`crate::parse`] materializes whole traces from a `&str`; the
 //! `trace_stream` crate feeds lines one at a time from a `BufRead` source.
-//! Both paths go through the functions in this module, so a trace record is
-//! parsed by exactly one piece of code regardless of how it arrives:
+//! Both feed the parsers in this module, so a line is parsed by exactly one
+//! piece of code regardless of how it arrives:
 //!
 //! * [`HeaderBuilder`] — an incremental state machine for the shared header
 //!   (`TRACE RANKS <n> NAME <name>` plus the REGION/CONTEXT tables),
-//!   producing the [`TraceTables`] every later record is validated against.
-//! * [`parse_event_line`] — one `EVENT …` line.
-//! * [`parse_app_body_line`] — one line of a full-trace body (`RANK`,
-//!   `SEG_BEGIN`, `SEG_END`, `EVENT`, `END_RANK`, `END_TRACE`), classified
-//!   as an [`AppBodyLine`].
+//!   producing the [`TraceHeader`] every later record is validated against.
+//! * [`AppLineParser`] — the whole full-trace grammar (magic line, header,
+//!   rank sections, the `END_TRACE` rank-count check) as a line-fed parser
+//!   that yields [`AppItem`]s.
+//!
+//! Every 32-bit field (ids, ranks, tags, communicator sizes) is range
+//! checked: a value above `u32::MAX` is an error on its line, never a
+//! truncated id.
 
 use trace_model::{
-    CollectiveOp, CommInfo, ContextId, ContextTable, Duration, Event, Rank, RegionId, RegionTable,
-    Time, TraceRecord,
+    AppItem, CollectiveOp, CommInfo, ContextId, ContextTable, Duration, Event, Rank, RegionId,
+    RegionTable, Time, TraceHeader, TraceRecord,
 };
 
 use crate::error::FormatError;
-
-/// The metadata shared by every record of a trace file: program name,
-/// declared rank count and the interned region/context name tables.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceTables {
-    /// Human-readable name of the traced program.
-    pub name: String,
-    /// Number of rank sections the header declares.
-    pub declared_ranks: usize,
-    /// Region (function) name table.
-    pub regions: RegionTable,
-    /// Segment-context name table.
-    pub contexts: ContextTable,
-}
+use crate::write::APP_HEADER;
 
 /// Classifies one raw input line: `Some(trimmed)` if it carries a record,
-/// `None` if the line is skipped (blank or `#` comment).  Both the
-/// in-memory parser and the streaming parser route every line through this
-/// single rule, so the two accept exactly the same language at the line
-/// level too.
-pub fn meaningful_line(raw: &str) -> Option<&str> {
+/// `None` if the line is skipped (blank or `#` comment).  Every parser
+/// routes every line through this single rule.
+pub(crate) fn meaningful_line(raw: &str) -> Option<&str> {
     let trimmed = raw.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') {
         None
@@ -50,16 +37,19 @@ pub fn meaningful_line(raw: &str) -> Option<&str> {
 }
 
 /// Parses a whitespace token as `u64`, reporting `what` on failure.
-pub fn parse_u64(line: usize, token: Option<&str>, what: &str) -> Result<u64, FormatError> {
+pub(crate) fn parse_u64(line: usize, token: Option<&str>, what: &str) -> Result<u64, FormatError> {
     let token = token.ok_or_else(|| FormatError::at(line, format!("missing {what}")))?;
     token
         .parse::<u64>()
         .map_err(|_| FormatError::at(line, format!("invalid {what}: {token:?}")))
 }
 
-/// Parses a whitespace token as `u32`, reporting `what` on failure.
-pub fn parse_u32(line: usize, token: Option<&str>, what: &str) -> Result<u32, FormatError> {
-    Ok(parse_u64(line, token, what)? as u32)
+/// Parses a whitespace token as `u32`, rejecting values above 32 bits
+/// instead of truncating them.
+pub(crate) fn parse_u32(line: usize, token: Option<&str>, what: &str) -> Result<u32, FormatError> {
+    let value = parse_u64(line, token, what)?;
+    u32::try_from(value)
+        .map_err(|_| FormatError::at(line, format!("{what} {value} does not fit 32 bits")))
 }
 
 fn collective_op(line: usize, name: &str) -> Result<CollectiveOp, FormatError> {
@@ -72,12 +62,13 @@ fn collective_op(line: usize, name: &str) -> Result<CollectiveOp, FormatError> {
 /// Incremental parser for the shared trace header.
 ///
 /// Feed it (blank/comment-stripped) lines one at a time: it consumes the
-/// `TRACE` line and the REGION/CONTEXT table lines and reports the first
-/// line that belongs to the trace body, at which point [`HeaderBuilder::finish`]
-/// yields the [`TraceTables`].  The reporting is pull-free so both the
-/// in-memory parser and a `BufRead`-driven stream parser can drive it.
+/// magic line (when built with [`HeaderBuilder::after_magic`]), the `TRACE`
+/// line and the REGION/CONTEXT table lines and reports the first line that
+/// belongs to the trace body, at which point [`HeaderBuilder::finish`]
+/// yields the [`TraceHeader`].
 #[derive(Debug, Default)]
 pub struct HeaderBuilder {
+    magic: Option<&'static str>,
     saw_trace_line: bool,
     name: String,
     ranks: usize,
@@ -91,9 +82,20 @@ impl HeaderBuilder {
         HeaderBuilder::default()
     }
 
+    /// Creates an empty builder expecting the file's magic line `magic`
+    /// first, then the `TRACE` line.
+    pub fn after_magic(magic: &'static str) -> Self {
+        HeaderBuilder {
+            magic: Some(magic),
+            ..HeaderBuilder::default()
+        }
+    }
+
     /// What the builder expects next, for end-of-input error messages.
     pub fn expecting(&self) -> &'static str {
-        if self.saw_trace_line {
+        if self.magic.is_some() {
+            "header"
+        } else if self.saw_trace_line {
             "REGION/CONTEXT table or rank data"
         } else {
             "TRACE line"
@@ -104,6 +106,15 @@ impl HeaderBuilder {
     /// (and consumed), `false` if the header is complete and the line must
     /// be re-processed by the caller as a body record.
     pub fn feed(&mut self, line_no: usize, line: &str) -> Result<bool, FormatError> {
+        if let Some(magic) = self.magic.take() {
+            if line != magic {
+                return Err(FormatError::at(
+                    line_no,
+                    format!("expected header {magic:?}, found {line:?}"),
+                ));
+            }
+            return Ok(true);
+        }
         let mut tokens = line.split_whitespace();
         if !self.saw_trace_line {
             if tokens.next() != Some("TRACE") || tokens.next() != Some("RANKS") {
@@ -177,15 +188,15 @@ impl HeaderBuilder {
         Ok(rest)
     }
 
-    /// Completes the header, yielding the tables every later record is
-    /// validated against.  Errors if the `TRACE` line was never seen.
-    pub fn finish(self) -> Result<TraceTables, FormatError> {
+    /// Completes the header every later record is validated against.
+    /// Errors if the `TRACE` line was never seen.
+    pub fn finish(self) -> Result<TraceHeader, FormatError> {
         if !self.saw_trace_line {
             return Err(FormatError::structural(
                 "unexpected end of input, expected TRACE line",
             ));
         }
-        Ok(TraceTables {
+        Ok(TraceHeader {
             name: self.name,
             declared_ranks: self.ranks,
             regions: RegionTable::from_names(self.region_names),
@@ -194,9 +205,9 @@ impl HeaderBuilder {
     }
 }
 
-/// Parses one `EVENT …` line against the tables.
-pub fn parse_event_line(
-    tables: &TraceTables,
+/// Parses one `EVENT …` line against the header's tables.
+pub(crate) fn parse_event_line(
+    tables: &TraceHeader,
     line_no: usize,
     line: &str,
 ) -> Result<Event, FormatError> {
@@ -267,9 +278,9 @@ pub fn parse_event_line(
     })
 }
 
-/// Validates a context-id token against the tables.
-pub fn parse_context_ref(
-    tables: &TraceTables,
+/// Validates a context-id token against the header's tables.
+pub(crate) fn parse_context_ref(
+    tables: &TraceHeader,
     line_no: usize,
     token: Option<&str>,
 ) -> Result<ContextId, FormatError> {
@@ -280,70 +291,168 @@ pub fn parse_context_ref(
     Ok(ContextId(id))
 }
 
-/// One classified line of a full-trace body.
-#[derive(Clone, Debug, PartialEq)]
-pub enum AppBodyLine {
-    /// A `RANK <id>` section opener.
-    RankStart(Rank),
-    /// A record inside a rank section (marker or event).
-    Record(TraceRecord),
-    /// The `END_RANK` section closer.
-    EndRank,
-    /// The `END_TRACE` trailer.
-    EndTrace,
+/// Where the full-trace grammar stands.
+#[derive(Debug)]
+enum Stage {
+    /// Reading the magic line and the header.
+    Head(HeaderBuilder),
+    /// In the body; the open rank section, if any.
+    Body(Option<Rank>),
+    /// `END_TRACE` was read and the rank count checked.
+    Done,
 }
 
-/// Parses one line of a full-trace body.  `in_rank` selects the records that
-/// are valid at this point (and the error message when none applies): inside
-/// a rank section only `SEG_BEGIN`/`SEG_END`/`EVENT`/`END_RANK` are allowed,
-/// outside only `RANK`/`END_TRACE`.
-pub fn parse_app_body_line(
-    tables: &TraceTables,
+/// The full-trace text grammar as a line-fed parser.
+///
+/// Feed it the raw lines of a file in order with [`AppLineParser::feed`]:
+/// it skips blank and comment lines, checks the magic line, builds the
+/// header, and turns each body line into at most one [`AppItem`].
+/// `END_TRACE` checks the declared rank count and ends the grammar
+/// ([`AppLineParser::is_done`]); at the end of the input
+/// [`AppLineParser::finish`] yields the header or the error for input that
+/// stopped early.  The in-memory [`crate::parse_app_trace`] and the
+/// `trace_stream` crate's `BufRead`-driven `StreamParser` both feed this
+/// one parser, so they accept the same language with the same errors.
+#[derive(Debug)]
+pub struct AppLineParser {
     line_no: usize,
-    line: &str,
-    in_rank: bool,
-) -> Result<AppBodyLine, FormatError> {
-    let mut tokens = line.split_whitespace();
-    let keyword = tokens.next();
-    if in_rank {
-        match keyword {
-            Some("END_RANK") => Ok(AppBodyLine::EndRank),
-            Some("SEG_BEGIN") => {
-                let context = parse_context_ref(tables, line_no, tokens.next())?;
-                let time = parse_u64(line_no, tokens.next(), "time stamp")?;
-                Ok(AppBodyLine::Record(TraceRecord::SegmentBegin {
-                    context,
-                    time: Time::from_nanos(time),
-                }))
-            }
-            Some("SEG_END") => {
-                let context = parse_context_ref(tables, line_no, tokens.next())?;
-                let time = parse_u64(line_no, tokens.next(), "time stamp")?;
-                Ok(AppBodyLine::Record(TraceRecord::SegmentEnd {
-                    context,
-                    time: Time::from_nanos(time),
-                }))
-            }
-            Some("EVENT") => Ok(AppBodyLine::Record(TraceRecord::Event(parse_event_line(
-                tables, line_no, line,
-            )?))),
-            other => Err(FormatError::at(
-                line_no,
-                format!("unexpected record {other:?} inside a rank section"),
-            )),
+    stage: Stage,
+    header: TraceHeader,
+    ranks_seen: usize,
+}
+
+impl Default for AppLineParser {
+    fn default() -> Self {
+        AppLineParser::new()
+    }
+}
+
+impl AppLineParser {
+    /// A parser expecting the full-trace magic line first.
+    pub fn new() -> Self {
+        AppLineParser {
+            line_no: 0,
+            stage: Stage::Head(HeaderBuilder::after_magic(APP_HEADER)),
+            header: TraceHeader::default(),
+            ranks_seen: 0,
         }
-    } else {
-        match keyword {
-            Some("END_TRACE") => Ok(AppBodyLine::EndTrace),
-            Some("RANK") => {
-                let rank_id = parse_u32(line_no, tokens.next(), "rank id")?;
-                Ok(AppBodyLine::RankStart(Rank(rank_id)))
+    }
+
+    /// Number of complete rank sections read so far.
+    pub fn ranks_seen(&self) -> usize {
+        self.ranks_seen
+    }
+
+    /// True once the magic line was read.
+    pub fn magic_read(&self) -> bool {
+        !matches!(&self.stage, Stage::Head(head) if head.magic.is_some())
+    }
+
+    /// True once `END_TRACE` was read; later lines are not part of the
+    /// trace.
+    pub fn is_done(&self) -> bool {
+        matches!(self.stage, Stage::Done)
+    }
+
+    /// Feeds the next raw line of the input (its line terminator may be
+    /// included) and returns the item it yields, if any.
+    pub fn feed(&mut self, raw: &str) -> Result<Option<AppItem>, FormatError> {
+        self.line_no += 1;
+        let Some(line) = meaningful_line(raw) else {
+            return Ok(None);
+        };
+        let line_no = self.line_no;
+        let open = match &mut self.stage {
+            Stage::Body(open) => *open,
+            Stage::Head(head) => {
+                if head.feed(line_no, line)? {
+                    return Ok(None);
+                }
+                self.header = std::mem::take(head).finish()?;
+                None
             }
-            other => Err(FormatError::at(
-                line_no,
-                format!("expected RANK or END_TRACE, found {other:?}"),
-            )),
+            Stage::Done => return Ok(None),
+        };
+        self.body_line(line_no, line, open)
+    }
+
+    /// Parses one body line with `open` the open rank section, if any:
+    /// inside a section only `SEG_BEGIN`/`SEG_END`/`EVENT`/`END_RANK` are
+    /// allowed, outside only `RANK`/`END_TRACE`.
+    fn body_line(
+        &mut self,
+        line_no: usize,
+        line: &str,
+        open: Option<Rank>,
+    ) -> Result<Option<AppItem>, FormatError> {
+        let mut tokens = line.split_whitespace();
+        let keyword = tokens.next();
+        let Some(rank) = open else {
+            return match keyword {
+                Some("RANK") => {
+                    let rank = Rank(parse_u32(line_no, tokens.next(), "rank id")?);
+                    self.stage = Stage::Body(Some(rank));
+                    Ok(Some(AppItem::RankStart(rank)))
+                }
+                Some("END_TRACE") => {
+                    if self.ranks_seen != self.header.declared_ranks {
+                        return Err(FormatError::structural(format!(
+                            "header declares {} ranks but {} rank sections were found",
+                            self.header.declared_ranks, self.ranks_seen
+                        )));
+                    }
+                    self.stage = Stage::Done;
+                    Ok(None)
+                }
+                other => Err(FormatError::at(
+                    line_no,
+                    format!("expected RANK or END_TRACE, found {other:?}"),
+                )),
+            };
+        };
+        let record = match keyword {
+            Some("EVENT") => TraceRecord::Event(parse_event_line(&self.header, line_no, line)?),
+            Some(marker @ ("SEG_BEGIN" | "SEG_END")) => {
+                let context = parse_context_ref(&self.header, line_no, tokens.next())?;
+                let time = Time::from_nanos(parse_u64(line_no, tokens.next(), "time stamp")?);
+                if marker == "SEG_BEGIN" {
+                    TraceRecord::SegmentBegin { context, time }
+                } else {
+                    TraceRecord::SegmentEnd { context, time }
+                }
+            }
+            Some("END_RANK") => {
+                self.stage = Stage::Body(None);
+                self.ranks_seen += 1;
+                return Ok(Some(AppItem::RankEnd(rank)));
+            }
+            other => {
+                return Err(FormatError::at(
+                    line_no,
+                    format!("unexpected record {other:?} inside a rank section"),
+                ))
+            }
+        };
+        Ok(Some(AppItem::Record(record)))
+    }
+
+    /// Ends the input: the header once `END_TRACE` was read, otherwise the
+    /// structural error naming what the input still lacked.
+    pub fn finish(self) -> Result<TraceHeader, FormatError> {
+        match self.stage {
+            Stage::Done => Ok(self.header),
+            _ => Err(self.unexpected_end()),
         }
+    }
+
+    /// The error for input that ends before `END_TRACE`.
+    pub fn unexpected_end(&self) -> FormatError {
+        let expected = match &self.stage {
+            Stage::Head(head) => head.expecting(),
+            Stage::Body(Some(_)) => "rank records or END_RANK",
+            Stage::Body(None) | Stage::Done => "RANK or END_TRACE",
+        };
+        FormatError::structural(format!("unexpected end of input, expected {expected}"))
     }
 }
 
@@ -351,8 +460,8 @@ pub fn parse_app_body_line(
 mod tests {
     use super::*;
 
-    fn tables() -> TraceTables {
-        TraceTables {
+    fn tables() -> TraceHeader {
+        TraceHeader {
             name: "t".into(),
             declared_ranks: 1,
             regions: RegionTable::from_names(vec!["work".into()]),
@@ -390,28 +499,62 @@ mod tests {
 
     #[test]
     fn body_lines_are_classified_by_section_state() {
-        let t = tables();
-        assert_eq!(
-            parse_app_body_line(&t, 1, "RANK 2", false).unwrap(),
-            AppBodyLine::RankStart(Rank(2))
-        );
-        assert_eq!(
-            parse_app_body_line(&t, 1, "END_TRACE", false).unwrap(),
-            AppBodyLine::EndTrace
-        );
+        let mut p = AppLineParser::new();
+        for line in ["TRACEFORMAT 1", "TRACE RANKS 1 NAME t", "REGION 0 work"] {
+            assert_eq!(p.feed(line).unwrap(), None);
+        }
+        assert_eq!(p.feed("CONTEXT 0 main.1\n").unwrap(), None);
+        assert_eq!(p.feed("RANK 2").unwrap(), Some(AppItem::RankStart(Rank(2))));
         assert!(matches!(
-            parse_app_body_line(&t, 1, "SEG_BEGIN 0 5", true).unwrap(),
-            AppBodyLine::Record(TraceRecord::SegmentBegin { .. })
+            p.feed("SEG_BEGIN 0 5").unwrap(),
+            Some(AppItem::Record(TraceRecord::SegmentBegin { .. }))
         ));
-        assert_eq!(
-            parse_app_body_line(&t, 1, "END_RANK", true).unwrap(),
-            AppBodyLine::EndRank
-        );
         // Section-state violations are errors with the section's message.
-        let err = parse_app_body_line(&t, 9, "SEG_BEGIN 0 5", false).unwrap_err();
-        assert!(err.message.contains("expected RANK or END_TRACE"), "{err}");
-        let err = parse_app_body_line(&t, 9, "RANK 1", true).unwrap_err();
+        let err = p.feed("RANK 1").unwrap_err();
+        assert_eq!(err.line, 7);
         assert!(err.message.contains("inside a rank section"), "{err}");
+        assert_eq!(p.feed("END_RANK").unwrap(), Some(AppItem::RankEnd(Rank(2))));
+        assert_eq!(p.ranks_seen(), 1);
+        let err = p.feed("SEG_BEGIN 0 5").unwrap_err();
+        assert!(err.message.contains("expected RANK or END_TRACE"), "{err}");
+        assert!(!p.is_done());
+        assert_eq!(p.feed("END_TRACE").unwrap(), None);
+        assert!(p.is_done());
+        assert_eq!(p.finish().unwrap().regions.names(), ["work"]);
+    }
+
+    #[test]
+    fn input_that_stops_early_names_what_is_missing() {
+        let mut p = AppLineParser::new();
+        assert!(p.unexpected_end().message.ends_with("expected header"));
+        p.feed("TRACEFORMAT 1").unwrap();
+        assert!(p.unexpected_end().message.ends_with("expected TRACE line"));
+        p.feed("TRACE RANKS 1 NAME t").unwrap();
+        p.feed("RANK 0").unwrap();
+        let err = p.finish().unwrap_err();
+        assert_eq!(err.line, 0);
+        assert!(err.message.ends_with("expected rank records or END_RANK"));
+    }
+
+    #[test]
+    fn wide_32_bit_fields_are_rejected_not_truncated() {
+        let t = tables();
+        let err = parse_event_line(&t, 3, "EVENT 4294967296 5 10 2 COMPUTE").unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("region id 4294967296"), "{err}");
+        for (line, field) in [
+            ("EVENT 0 5 10 2 SEND 4294967297 0 8", "peer rank"),
+            ("EVENT 0 5 10 2 RECV 1 4294967296 8", "tag"),
+            (
+                "EVENT 0 5 10 2 COLLECTIVE MPI_Bcast 0 4294967296 8",
+                "communicator size",
+            ),
+        ] {
+            let err = parse_event_line(&t, 1, line).unwrap_err();
+            assert!(err.message.contains(field), "{line}: {err}");
+            assert!(err.message.contains("does not fit 32 bits"), "{err}");
+        }
+        assert!(parse_context_ref(&t, 1, Some("4294967296")).is_err());
     }
 
     #[test]

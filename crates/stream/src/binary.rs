@@ -1,72 +1,19 @@
-//! Chunked binary containers as a reduction input, and input-format
-//! detection.
+//! Input-format detection.
 //!
-//! [`ContainerSource`] adapts `trace_container::ChunkReader` to the
-//! [`AppItemSource`] trait, so the same reduction loop that drives the text
-//! parser consumes `.trc` v2 files with O(one chunk) resident payload —
-//! either the whole stream, or one rank section located through the
-//! container's index footer ([`ContainerSource::section`]), which is what
-//! lets several workers read one container without redundant reads.
 //! [`TraceInputKind::detect`] tells text, monolithic v1 and chunked v2
-//! inputs apart by their magic bytes.
+//! inputs apart by their magic bytes; [`detect_input`] applies it to a
+//! file.  Chunked containers need no adapter to be reduced:
+//! `trace_container::ChunkReader` is itself a `trace_model::AppItemSource`,
+//! whole or one index section at a time.
 
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
 
-use trace_container::{ChunkReader, ContainerItem, Preamble, CONTAINER_MAGIC};
+use trace_container::CONTAINER_MAGIC;
 use trace_model::codec::APP_TRACE_MAGIC;
-use trace_reduce::{AppItem, AppItemSource};
 
 use crate::error::StreamError;
-
-/// [`AppItemSource`] over a chunked binary container.
-pub struct ContainerSource<R> {
-    inner: ChunkReader<R>,
-}
-
-impl<R: Read> ContainerSource<R> {
-    /// Opens a whole app-trace container (header + preamble).
-    pub fn new(reader: R) -> Result<Self, StreamError> {
-        Ok(ContainerSource {
-            inner: ChunkReader::new(reader)?,
-        })
-    }
-
-    /// Resumes at one rank section located via the index footer.
-    pub fn section(reader: R, offset: u64) -> Self {
-        ContainerSource {
-            inner: ChunkReader::section(reader, offset),
-        }
-    }
-
-    /// The preamble tables (whole-file mode only).
-    pub fn preamble(&self) -> Option<&Preamble> {
-        self.inner.preamble()
-    }
-
-    /// Attaches an observability shard to the underlying chunk reader, so
-    /// chunk reads record `chunk_io`/`compress` spans and counters.
-    pub fn set_obs(&mut self, obs: trace_obs::ObsShard) {
-        self.inner.set_obs(obs);
-    }
-}
-
-impl<R: Read> AppItemSource for ContainerSource<R> {
-    type Error = StreamError;
-
-    fn next_item(&mut self) -> Result<Option<AppItem>, StreamError> {
-        Ok(self.inner.next_item()?.map(|item| match item {
-            ContainerItem::RankStart(rank) => AppItem::RankStart(rank),
-            ContainerItem::Record(record) => AppItem::Record(record),
-            ContainerItem::RankEnd(rank) => AppItem::RankEnd(rank),
-        }))
-    }
-
-    fn peak_chunk_bytes(&self) -> usize {
-        self.inner.peak_chunk_bytes()
-    }
-}
 
 /// What kind of trace input a file holds, detected from its magic bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -7,14 +7,14 @@
 //! This crate removes it for both trace formats:
 //!
 //! * [`parser::StreamParser`] — an incremental, line-oriented pull parser
-//!   over any [`std::io::BufRead`] source, built on the same record grammar
-//!   as `trace_format` (one line resident at a time).
-//! * [`binary::ContainerSource`] — the same item stream pulled from a
-//!   chunked binary container (`.trc` v2, the `trace_container` crate),
-//!   one CRC-checked chunk resident at a time, either whole or one rank
-//!   section at a time via the index footer.  Both sources implement
-//!   [`trace_reduce::AppItemSource`], so one reduction loop serves both
-//!   formats.
+//!   over any [`std::io::BufRead`] source that feeds the full-trace grammar
+//!   of `trace_format` (one line resident at a time).
+//! * `trace_container::ChunkReader` — the same item stream pulled from a
+//!   chunked binary container (`.trc` v2), one CRC-checked chunk resident
+//!   at a time, either whole or one rank section at a time via the index
+//!   footer.  Both readers are [`trace_model::AppItemSource`]s, so one
+//!   reduction loop serves both formats; [`binary::detect_input`] tells
+//!   the formats apart by their magic bytes.
 //! * [`reduce::reduce_input`] — the single reduction entry point.  It
 //!   detects the input format by magic bytes, picks the partitions that
 //!   suit it (the whole stream for text, index sections for a container
@@ -51,7 +51,7 @@ pub mod error;
 pub mod parser;
 pub mod reduce;
 
-pub use binary::{detect_input, ContainerSource, TraceInputKind};
+pub use binary::{detect_input, TraceInputKind};
 pub use error::StreamError;
 pub use parser::StreamParser;
 pub use reduce::{reduce_input, StreamReduction, TraceInput};

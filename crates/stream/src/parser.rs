@@ -1,193 +1,76 @@
 //! Incremental, line-oriented parsing of full-trace text files.
 //!
-//! [`StreamParser`] pulls one record at a time from any [`BufRead`] source,
-//! reusing the exact line-level grammar of `trace_format` (the
-//! [`trace_format::record`] module), so it accepts precisely the same
-//! language as the in-memory [`trace_format::parse_app_trace`] — without
-//! ever holding more than one line of the file in memory.
+//! [`StreamParser`] reads one line at a time from any [`BufRead`] source
+//! and feeds it to the full-trace grammar of `trace_format`
+//! ([`trace_format::AppLineParser`]), so it accepts precisely the same
+//! language, with the same errors, as the in-memory
+//! [`trace_format::parse_app_trace`] — without ever holding more than one
+//! line of the file in memory.
 
-use std::io::{self, BufRead};
+use std::io::BufRead;
 
-use trace_format::record::{parse_app_body_line, AppBodyLine, HeaderBuilder, TraceTables};
-use trace_format::write::APP_HEADER;
-use trace_format::FormatError;
-use trace_model::Rank;
-use trace_reduce::{AppItem, AppItemSource};
+use trace_format::AppLineParser;
+use trace_model::{AppItem, AppItemSource, TraceHeader};
 
 use crate::error::StreamError;
 
-/// Reads meaningful lines (blank and `#`-comment lines skipped) from a
-/// buffered source, tracking 1-based line numbers.  Only one line is
-/// buffered at a time.
-struct LineReader<R> {
-    inner: R,
-    buf: String,
-    line_no: usize,
-}
-
-impl<R: BufRead> LineReader<R> {
-    fn new(inner: R) -> Self {
-        LineReader {
-            inner,
-            buf: String::new(),
-            line_no: 0,
-        }
-    }
-
-    /// Advances to the next meaningful line, returning its number (the text
-    /// is available via [`LineReader::current`]) or `None` at end of input.
-    /// Line classification is the shared rule in
-    /// [`trace_format::record::meaningful_line`].
-    fn next_line(&mut self) -> io::Result<Option<usize>> {
-        loop {
-            self.buf.clear();
-            if self.inner.read_line(&mut self.buf)? == 0 {
-                return Ok(None);
-            }
-            self.line_no += 1;
-            if trace_format::record::meaningful_line(&self.buf).is_some() {
-                return Ok(Some(self.line_no));
-            }
-        }
-    }
-
-    /// The text of the line [`LineReader::next_line`] advanced to.
-    /// `next_line` only stops on meaningful lines, so the fallback empty
-    /// string is never produced in practice; an empty line simply fails the
-    /// caller's grammar with a parse error instead of panicking here.
-    fn current(&self) -> &str {
-        trace_format::record::meaningful_line(&self.buf).unwrap_or("")
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-enum State {
-    Body,
-    InRank(Rank),
-    Done,
-}
-
 /// Pull parser for the full-trace text format over any [`BufRead`] source.
 ///
-/// Construction parses the magic line and the header tables; each
-/// [`StreamParser::next_item`] call then yields one rank boundary or record.
-/// `Ok(None)` means the `END_TRACE` trailer was reached and the declared
-/// rank count matched.
+/// Construction reads up to the magic line; each
+/// [`StreamParser::next_item`] call then yields one rank boundary or
+/// record.  `Ok(None)` means the `END_TRACE` trailer was reached and the
+/// declared rank count matched; [`StreamParser::finish`] then returns the
+/// header.
 pub struct StreamParser<R> {
-    lines: LineReader<R>,
-    tables: TraceTables,
-    /// First body line, already consumed while detecting the header's end.
-    pending: Option<(usize, String)>,
-    state: State,
-    ranks_seen: usize,
+    reader: R,
+    line: String,
+    grammar: AppLineParser,
 }
 
 impl<R: BufRead> StreamParser<R> {
-    /// Reads the magic line and header tables from `reader`.
+    /// Starts parsing `reader`: reads up to and checks the magic line.
     pub fn new(reader: R) -> Result<Self, StreamError> {
-        let mut lines = LineReader::new(reader);
-        let line_no = lines
-            .next_line()?
-            .ok_or_else(|| FormatError::structural("unexpected end of input, expected header"))?;
-        let first = lines.current();
-        if first != APP_HEADER {
-            return Err(FormatError::at(
-                line_no,
-                format!("expected header {APP_HEADER:?}, found {first:?}"),
-            )
-            .into());
+        let mut parser = StreamParser {
+            reader,
+            line: String::new(),
+            grammar: AppLineParser::new(),
+        };
+        // No line up to the magic line yields an item.
+        while !parser.grammar.magic_read() {
+            parser.feed_line()?;
         }
-
-        let mut builder = HeaderBuilder::new();
-        let pending;
-        loop {
-            let Some(line_no) = lines.next_line()? else {
-                return Err(FormatError::structural(format!(
-                    "unexpected end of input, expected {}",
-                    builder.expecting()
-                ))
-                .into());
-            };
-            let line = lines.current();
-            if !builder.feed(line_no, line)? {
-                pending = Some((line_no, line.to_string()));
-                break;
-            }
-        }
-
-        Ok(StreamParser {
-            lines,
-            tables: builder.finish()?,
-            pending,
-            state: State::Body,
-            ranks_seen: 0,
-        })
-    }
-
-    /// The header tables (program name, declared rank count, region and
-    /// context names).
-    pub fn tables(&self) -> &TraceTables {
-        &self.tables
+        Ok(parser)
     }
 
     /// Number of complete rank sections seen so far.
     pub fn ranks_seen(&self) -> usize {
-        self.ranks_seen
+        self.grammar.ranks_seen()
+    }
+
+    /// Reads the next line and feeds it to the grammar; the input ending
+    /// here is an error.
+    fn feed_line(&mut self) -> Result<Option<AppItem>, StreamError> {
+        self.line.clear();
+        if self.reader.read_line(&mut self.line)? == 0 {
+            return Err(self.grammar.unexpected_end().into());
+        }
+        Ok(self.grammar.feed(&self.line)?)
     }
 
     /// Pulls the next item, or `Ok(None)` once the trailer was consumed.
     pub fn next_item(&mut self) -> Result<Option<AppItem>, StreamError> {
-        let in_rank = matches!(self.state, State::InRank(_));
-        if matches!(self.state, State::Done) {
-            return Ok(None);
-        }
-
-        let parsed = if let Some((line_no, line)) = self.pending.take() {
-            parse_app_body_line(&self.tables, line_no, &line, in_rank)?
-        } else {
-            let what = if in_rank {
-                "rank records or END_RANK"
-            } else {
-                "RANK or END_TRACE"
-            };
-            let Some(line_no) = self.lines.next_line()? else {
-                return Err(FormatError::structural(format!(
-                    "unexpected end of input, expected {what}"
-                ))
-                .into());
-            };
-            parse_app_body_line(&self.tables, line_no, self.lines.current(), in_rank)?
-        };
-
-        match parsed {
-            AppBodyLine::RankStart(rank) => {
-                self.state = State::InRank(rank);
-                Ok(Some(AppItem::RankStart(rank)))
-            }
-            AppBodyLine::Record(record) => Ok(Some(AppItem::Record(record))),
-            AppBodyLine::EndRank => {
-                // `parse_app_body_line` only yields END_RANK when told a
-                // rank section is open; report a parser bug as a structural
-                // error rather than trusting the invariant with a panic.
-                let State::InRank(rank) = self.state else {
-                    return Err(FormatError::structural("END_RANK outside a rank section").into());
-                };
-                self.state = State::Body;
-                self.ranks_seen += 1;
-                Ok(Some(AppItem::RankEnd(rank)))
-            }
-            AppBodyLine::EndTrace => {
-                if self.ranks_seen != self.tables.declared_ranks {
-                    return Err(FormatError::structural(format!(
-                        "header declares {} ranks but {} rank sections were found",
-                        self.tables.declared_ranks, self.ranks_seen
-                    ))
-                    .into());
-                }
-                self.state = State::Done;
-                Ok(None)
+        while !self.grammar.is_done() {
+            if let Some(item) = self.feed_line()? {
+                return Ok(Some(item));
             }
         }
+        Ok(None)
+    }
+
+    /// The header, once [`StreamParser::next_item`] has returned `Ok(None)`;
+    /// before that, the error for input that ends early.
+    pub fn finish(self) -> Result<TraceHeader, StreamError> {
+        Ok(self.grammar.finish()?)
     }
 }
 
@@ -204,7 +87,6 @@ mod tests {
     use super::*;
     use std::io::Cursor;
     use trace_format::write_app_trace;
-    use trace_model::{AppTrace, RankTrace};
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
     fn parser_for(text: &str) -> StreamParser<Cursor<&[u8]>> {
@@ -216,25 +98,11 @@ mod tests {
         let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
         let text = write_app_trace(&app);
         let mut parser = parser_for(&text);
-        let tables = parser.tables().clone();
-        let mut rebuilt = AppTrace {
-            name: tables.name.clone(),
-            regions: tables.regions.clone(),
-            contexts: tables.contexts.clone(),
-            ranks: Vec::new(),
-        };
-        let mut open: Option<RankTrace> = None;
-        while let Some(item) = parser.next_item().unwrap() {
-            match item {
-                AppItem::RankStart(rank) => open = Some(RankTrace::new(rank)),
-                AppItem::Record(record) => open.as_mut().unwrap().push(record),
-                AppItem::RankEnd(_) => rebuilt.ranks.push(open.take().unwrap()),
-            }
-        }
-        assert_eq!(rebuilt, app);
+        let ranks = parser.collect_ranks().unwrap();
         assert_eq!(parser.ranks_seen(), app.rank_count());
         // The stream is exhausted and stays exhausted.
         assert_eq!(parser.next_item().unwrap(), None);
+        assert_eq!(parser.finish().unwrap().app(ranks), app);
     }
 
     #[test]

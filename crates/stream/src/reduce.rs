@@ -25,11 +25,11 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, Cursor, Seek, SeekFrom};
 use std::path::Path;
 
-use trace_container::{read_index, ContainerError, PayloadKind, Preamble};
-use trace_model::{AppTrace, ReducedAppTrace, ReducedRankTrace};
-use trace_reduce::{reduce_sections, AppItemSource, RankItems, Reducer, SectionReducer};
+use trace_container::{read_index, ChunkReader, ContainerError, PayloadKind};
+use trace_model::{AppItemSource, AppTrace, RankItems, ReducedAppTrace, ReducedRankTrace};
+use trace_reduce::{reduce_sections, Reducer, SectionReducer};
 
-use crate::binary::{detect_input, ContainerSource, TraceInputKind};
+use crate::binary::{detect_input, TraceInputKind};
 use crate::error::StreamError;
 use crate::parser::StreamParser;
 use trace_reduce::StreamStats;
@@ -154,15 +154,9 @@ fn reduce_text<R: BufRead>(
     recorder: &trace_obs::Recorder,
 ) -> Result<StreamReduction, StreamError> {
     let mut parser = StreamParser::new(reader)?;
-    let tables = parser.tables().clone();
     let (ranks, stats) = reduce_whole(reducer, &mut parser, recorder)?;
     Ok(StreamReduction {
-        reduced: ReducedAppTrace {
-            name: tables.name,
-            regions: tables.regions,
-            contexts: tables.contexts,
-            ranks,
-        },
+        reduced: parser.finish()?.reduced(ranks),
         stats,
         workers: 1,
     })
@@ -178,12 +172,11 @@ fn reduce_container<R: BufRead + Seek>(
 ) -> Result<StreamReduction, StreamError> {
     let mut reader = open()?;
     if workers <= 1 {
-        let mut source = ContainerSource::new(reader)?;
+        let mut source = ChunkReader::new(reader)?;
         source.set_obs(recorder.shard());
-        let preamble = preamble_of(&source)?;
         let (ranks, stats) = reduce_whole(reducer, &mut source, recorder)?;
         return Ok(StreamReduction {
-            reduced: reduced_from(preamble, ranks),
+            reduced: source.into_header().reduced(ranks),
             stats,
             workers: 1,
         });
@@ -197,15 +190,15 @@ fn reduce_container<R: BufRead + Seek>(
         }));
     }
     reader.seek(SeekFrom::Start(0))?;
-    let preamble = preamble_of(&ContainerSource::new(reader)?)?;
+    let header = ChunkReader::new(reader)?.into_header();
     // The whole-stream read validates this when it reaches the INDEX
     // chunk; section reads never scan that far, so a short index must be
     // rejected here or ranks would silently drop from the output.
     let sections = index.sections;
-    if sections.len() != preamble.declared_ranks {
+    if sections.len() != header.declared_ranks {
         return Err(StreamError::Container(ContainerError::CountMismatch {
             what: "rank sections",
-            declared: preamble.declared_ranks as u64,
+            declared: header.declared_ranks as u64,
             found: sections.len() as u64,
         }));
     }
@@ -216,48 +209,32 @@ fn reduce_container<R: BufRead + Seek>(
             .ok_or_else(|| io::Error::other("partition outside the container index"))?;
         let mut reader = open()?;
         reader.seek(SeekFrom::Start(offset))?;
-        let mut source = ContainerSource::section(reader, offset);
+        let mut source = ChunkReader::section(reader, offset);
         source.set_obs(recorder.shard());
         Ok::<_, StreamError>(source)
     };
     let (ranks, stats) =
         reduce_sections(*reducer, sections.len(), workers, recorder, open_section)?;
     Ok(StreamReduction {
-        reduced: reduced_from(preamble, ranks),
+        reduced: header.reduced(ranks),
         stats,
         workers: workers_for(workers, sections.len()),
     })
 }
 
 /// Runs one worker's loop over a whole stream on the calling thread.
-fn reduce_whole<S: AppItemSource<Error = StreamError>>(
+fn reduce_whole<S: AppItemSource>(
     reducer: &Reducer,
     source: &mut S,
     recorder: &trace_obs::Recorder,
-) -> Result<(Vec<ReducedRankTrace>, StreamStats), StreamError> {
+) -> Result<(Vec<ReducedRankTrace>, StreamStats), StreamError>
+where
+    StreamError: From<S::Error>,
+{
     let mut worker = SectionReducer::new(*reducer, recorder.shard());
     let ranks = worker.reduce(source)?;
     let ranks = ranks.into_iter().map(|rank| rank.reduced).collect();
     Ok((ranks, worker.finish()))
-}
-
-fn preamble_of<R: io::Read>(source: &ContainerSource<R>) -> Result<Preamble, StreamError> {
-    source
-        .preamble()
-        .cloned()
-        .ok_or(StreamError::Container(ContainerError::UnexpectedChunk {
-            expected: "a PREAMBLE chunk",
-            found: "no preamble before the first rank section",
-        }))
-}
-
-fn reduced_from(preamble: Preamble, ranks: Vec<ReducedRankTrace>) -> ReducedAppTrace {
-    ReducedAppTrace {
-        name: preamble.name,
-        regions: preamble.regions,
-        contexts: preamble.contexts,
-        ranks,
-    }
 }
 
 #[cfg(test)]
@@ -352,6 +329,29 @@ mod tests {
             assert_eq!(result.workers, 1);
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn text_ids_above_32_bits_are_errors_not_truncated() {
+        let text = "TRACEFORMAT 1\nTRACE RANKS 1 NAME wide\nREGION 0 work\n\
+                    CONTEXT 0 main.1\nRANK 4294967297\nEND_RANK\nEND_TRACE\n";
+        let reducer = Reducer::with_default_threshold(Method::RelDiff);
+        let disabled = trace_obs::Recorder::disabled();
+        let input = TraceInput::Bytes(text.as_bytes());
+        let err = reduce_input(&reducer, input, 1, &disabled).unwrap_err();
+        let err = err.as_format().expect("a text error");
+        assert_eq!(err.line, 5);
+        assert!(err.message.contains("rank id 4294967297"), "{err}");
+
+        let wide_region = text.replace(
+            "RANK 4294967297\n",
+            "RANK 0\nEVENT 4294967296 0 10 0 COMPUTE\n",
+        );
+        let input = TraceInput::Bytes(wide_region.as_bytes());
+        let err = reduce_input(&reducer, input, 1, &disabled).unwrap_err();
+        let err = err.as_format().expect("a text error");
+        assert_eq!(err.line, 6);
+        assert!(err.message.contains("region id 4294967296"), "{err}");
     }
 
     #[test]

@@ -189,7 +189,7 @@ pub fn decode_app_trace(bytes: &[u8]) -> Result<AppTrace, CodecError> {
     let rank_count = read_u64(&mut reader)?;
     let mut ranks = Vec::with_capacity(rank_count.min(1 << 20) as usize);
     for _ in 0..rank_count {
-        let rank = Rank(read_u64(&mut reader)? as u32);
+        let rank = Rank(read_u32(&mut reader, "rank id")?);
         let record_count = read_u64(&mut reader)?;
         if record_count > (reader.remaining() as u64 + 1) * 8 {
             return Err(CodecError::LengthTooLarge(record_count));
@@ -214,7 +214,7 @@ pub fn decode_app_trace(bytes: &[u8]) -> Result<AppTrace, CodecError> {
 
 /// Reads one rebased segment (inverse of [`super::write_segment`]).
 pub fn read_segment(reader: &mut Reader<'_>) -> Result<Segment, CodecError> {
-    let context = ContextId(read_u64(reader)? as u32);
+    let context = ContextId(read_u32(reader, "context id")?);
     let start = Time::from_nanos(read_u64(reader)?);
     let end = Time::from_nanos(read_u64(reader)?);
     let event_count = read_u64(reader)?;
@@ -239,8 +239,8 @@ pub fn read_segment(reader: &mut Reader<'_>) -> Result<Segment, CodecError> {
 /// Reads one stored representative segment (inverse of
 /// [`super::write_stored_segment`]).
 pub fn read_stored_segment(reader: &mut Reader<'_>) -> Result<StoredSegment, CodecError> {
-    let id = read_u64(reader)? as u32;
-    let represented = read_u64(reader)? as u32;
+    let id = read_u32(reader, "stored segment id")?;
+    let represented = read_u32(reader, "represented count")?;
     let segment = read_segment(reader)?;
     Ok(StoredSegment {
         id,
@@ -255,7 +255,7 @@ pub fn read_exec(
     reader: &mut Reader<'_>,
     prev_start: Time,
 ) -> Result<(SegmentExec, Time), CodecError> {
-    let segment = read_u64(reader)? as u32;
+    let segment = read_u32(reader, "stored segment id")?;
     let delta = read_i64(reader)?;
     let start = apply_time_delta(prev_start, delta)?;
     Ok((SegmentExec { segment, start }, start))
@@ -272,14 +272,14 @@ pub fn decode_reduced_trace(bytes: &[u8]) -> Result<ReducedAppTrace, CodecError>
     let rank_count = read_u64(&mut reader)?;
     let mut ranks = Vec::with_capacity(rank_count.min(1 << 20) as usize);
     for _ in 0..rank_count {
-        let rank = Rank(read_u64(&mut reader)? as u32);
+        let rank = Rank(read_u32(&mut reader, "rank id")?);
         let mut reduced = ReducedRankTrace::new(rank);
         let stored_count = read_u64(&mut reader)?;
         if stored_count > (reader.remaining() as u64 + 1) * 4 {
             return Err(CodecError::LengthTooLarge(stored_count));
         }
         for _ in 0..stored_count {
-            reduced.stored.push(read_stored_segment(&mut reader)?);
+            reduced.push_stored(read_stored_segment(&mut reader)?)?;
         }
         let exec_count = read_u64(&mut reader)?;
         if exec_count > (reader.remaining() as u64 + 1) * 2 {
@@ -289,6 +289,7 @@ pub fn decode_reduced_trace(bytes: &[u8]) -> Result<ReducedAppTrace, CodecError>
         for _ in 0..exec_count {
             let (exec, new_prev) = read_exec(&mut reader, prev_start)?;
             prev_start = new_prev;
+            reduced.check_exec(&exec)?;
             reduced.execs.push(exec);
         }
         ranks.push(reduced);

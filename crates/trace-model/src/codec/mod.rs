@@ -16,6 +16,8 @@ pub mod varint;
 
 use std::fmt;
 
+use crate::reduced::ReducedTraceError;
+
 pub use decode::{
     decode_app_trace, decode_reduced_trace, read_exec, read_record, read_segment,
     read_stored_segment, read_string, read_string_table,
@@ -67,6 +69,14 @@ pub enum CodecError {
         /// The value the input declares.
         value: u64,
     },
+    /// A decoded reduced rank breaks the stored-id invariants.
+    Reduced(ReducedTraceError),
+}
+
+impl From<ReducedTraceError> for CodecError {
+    fn from(e: ReducedTraceError) -> Self {
+        CodecError::Reduced(e)
+    }
 }
 
 /// Narrows a decoded 64-bit value to the 32-bit `field` it encodes,
@@ -90,6 +100,7 @@ impl fmt::Display for CodecError {
             CodecError::FieldOutOfRange { field, value } => {
                 write!(f, "{field} {value} does not fit 32 bits")
             }
+            CodecError::Reduced(e) => e.fmt(f),
         }
     }
 }
@@ -316,6 +327,70 @@ mod tests {
             decode_app_trace(&bytes),
             Err(CodecError::UnsupportedVersion(99))
         ));
+    }
+
+    #[test]
+    fn v1_reduced_ids_are_range_checked_and_must_resolve() {
+        use super::varint::{write_i64, write_u64};
+        use crate::reduced::ReducedTraceError;
+        const WIDE: u64 = (1 << 32) + 1;
+        // One rank holding one stored segment (no events) and one
+        // execution; every id field is the caller's.
+        let file = |[rank, id, represented, context, exec]: [u64; 5]| {
+            let mut out = REDUCED_TRACE_MAGIC.to_vec();
+            out.push(FORMAT_VERSION);
+            write_string(&mut out, "wide");
+            write_string_table(&mut out, &[]);
+            write_string_table(&mut out, &["main".to_string()]);
+            for field in [1, rank, 1, id, represented, context, 0, 10, 0, 1, exec] {
+                write_u64(&mut out, field);
+            }
+            write_i64(&mut out, 0);
+            out
+        };
+        assert!(decode_reduced_trace(&file([0, 0, 1, 0, 0])).is_ok());
+        for (fields, field) in [
+            ([WIDE, 0, 1, 0, 0], "rank id"),
+            ([0, WIDE, 1, 0, 0], "stored segment id"),
+            ([0, 0, WIDE, 0, 0], "represented count"),
+            ([0, 0, 1, WIDE, 0], "context id"),
+            ([0, 0, 1, 0, WIDE], "stored segment id"),
+        ] {
+            assert_eq!(
+                decode_reduced_trace(&file(fields)),
+                Err(CodecError::FieldOutOfRange { field, value: WIDE }),
+                "{fields:?}"
+            );
+        }
+        assert_eq!(
+            decode_reduced_trace(&file([0, 1, 1, 0, 0])),
+            Err(CodecError::Reduced(ReducedTraceError::SparseStoredId {
+                expected: 0,
+                found: 1
+            }))
+        );
+        assert_eq!(
+            decode_reduced_trace(&file([0, 0, 1, 0, 1])),
+            Err(CodecError::Reduced(
+                ReducedTraceError::UnknownStoredSegment(1)
+            ))
+        );
+
+        let mut app = APP_TRACE_MAGIC.to_vec();
+        app.push(FORMAT_VERSION);
+        write_string(&mut app, "wide");
+        write_string_table(&mut app, &[]);
+        write_string_table(&mut app, &[]);
+        for field in [1, WIDE, 0] {
+            write_u64(&mut app, field);
+        }
+        assert_eq!(
+            decode_app_trace(&app),
+            Err(CodecError::FieldOutOfRange {
+                field: "rank id",
+                value: WIDE
+            })
+        );
     }
 
     #[test]

@@ -19,7 +19,11 @@
 //!   segment markers; the unit of similarity comparison.
 //! * [`reduced::ReducedRankTrace`] / [`reduced::ReducedAppTrace`] — the
 //!   output of the reduction: representative segments plus the
-//!   `(segment id, start time)` execution log.
+//!   `(segment id, start time)` execution log, with the id invariants every
+//!   reader checks ([`reduced::ReducedRankTrace::push_stored`]).
+//! * [`source`] — the one item stream every trace reader yields
+//!   ([`source::AppItemSource`]) and the header the whole-file readers
+//!   return ([`source::TraceHeader`]).
 //! * [`codec`] — the compact binary encoding used for every file-size
 //!   measurement in the evaluation.
 //! * [`stats`] — small numeric helpers (percentiles, means) shared by the
@@ -37,6 +41,7 @@ pub mod ids;
 pub mod record;
 pub mod reduced;
 pub mod segment;
+pub mod source;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -44,7 +49,10 @@ pub mod trace;
 pub use event::{CollectiveOp, CommInfo, Event};
 pub use ids::{ContextId, ContextTable, Rank, RegionId, RegionTable};
 pub use record::TraceRecord;
-pub use reduced::{ReducedAppTrace, ReducedRankTrace, SegmentExec, StoredSegment};
+pub use reduced::{
+    ReducedAppTrace, ReducedRankTrace, ReducedTraceError, SegmentExec, StoredSegment,
+};
 pub use segment::{Segment, SegmentKey};
+pub use source::{AppItem, AppItemSource, RankItems, TraceHeader};
 pub use time::{Duration, Time};
 pub use trace::{AppTrace, RankTrace};

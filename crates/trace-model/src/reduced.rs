@@ -8,6 +8,7 @@
 //! representative at its recorded start time.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 use crate::ids::{ContextTable, Rank, RegionTable};
 use crate::segment::Segment;
@@ -17,6 +18,38 @@ use crate::trace::{AppTrace, RankTrace};
 /// Identifier of a stored representative segment within one rank's reduced
 /// trace.
 pub type StoredSegmentId = u32;
+
+/// A decoded reduced rank trace that breaks the id invariants.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ReducedTraceError {
+    /// A stored segment's id is not its position in the stored list.
+    SparseStoredId {
+        /// The id the next stored segment must have.
+        expected: usize,
+        /// The id it has.
+        found: StoredSegmentId,
+    },
+    /// An execution references a stored segment that does not exist.
+    UnknownStoredSegment(StoredSegmentId),
+}
+
+impl fmt::Display for ReducedTraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReducedTraceError::SparseStoredId { expected, found } => {
+                write!(
+                    f,
+                    "stored ids must be dense; expected {expected} got {found}"
+                )
+            }
+            ReducedTraceError::UnknownStoredSegment(id) => {
+                write!(f, "execution references unknown stored segment {id}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ReducedTraceError {}
 
 /// A representative segment kept in the reduced trace.
 #[derive(Clone, Debug, PartialEq)]
@@ -96,24 +129,43 @@ impl ReducedRankTrace {
         }
     }
 
-    /// Looks up a stored segment by id.
+    /// Looks up a stored segment by id.  Ids are dense (`stored[i].id ==
+    /// i`): every reducer produces them so and every reader checks it
+    /// ([`ReducedRankTrace::push_stored`]).  An id that
+    /// [`ReducedRankTrace::check_exec`] accepts always resolves.
     pub fn stored_segment(&self, id: StoredSegmentId) -> Option<&StoredSegment> {
-        self.stored
-            .get(id as usize)
-            .filter(|s| s.id == id)
-            .or_else(|| {
-                // Fall back to a linear scan if ids are not dense (they are dense
-                // for every reducer in this workspace, but the format permits it).
-                self.stored.iter().find(|s| s.id == id)
-            })
+        self.stored.get(id as usize)
+    }
+
+    /// Appends a decoded stored segment, checking that its id is the next
+    /// dense id.
+    pub fn push_stored(&mut self, stored: StoredSegment) -> Result<(), ReducedTraceError> {
+        if stored.id as usize != self.stored.len() {
+            return Err(ReducedTraceError::SparseStoredId {
+                expected: self.stored.len(),
+                found: stored.id,
+            });
+        }
+        self.stored.push(stored);
+        Ok(())
+    }
+
+    /// Checks that a decoded execution references a stored segment of this
+    /// rank.  Every format stores all representatives of a rank before its
+    /// executions, so readers check each execution against the stored
+    /// segments read so far, or all of them once the section ends.
+    pub fn check_exec(&self, exec: &SegmentExec) -> Result<(), ReducedTraceError> {
+        if exec.segment as usize >= self.stored.len() {
+            return Err(ReducedTraceError::UnknownStoredSegment(exec.segment));
+        }
+        Ok(())
     }
 
     /// Reconstructs an approximate full rank trace by replaying each
     /// execution's representative segment at its recorded start time.
     ///
-    /// Unknown segment ids are skipped; every reducer in this workspace
-    /// produces self-consistent ids, so skipping only happens for corrupted
-    /// inputs.
+    /// Unknown segment ids are skipped; reducers and readers never produce
+    /// them, so only a hand-built trace can hold one.
     pub fn reconstruct(&self) -> RankTrace {
         let mut trace = RankTrace::new(self.rank);
         for exec in &self.execs {

@@ -3,7 +3,9 @@
 //! static-analysis pass enforcing the workspace's three invariant families —
 //! panic-freedom on decode surfaces, determinism in reduction-output crates,
 //! and crate hygiene.  See `docs/static-analysis.md` for the rule catalogue
-//! and the escape-hatch policy.
+//! and the escape-hatch policy.  `xtask loc` ([`count_loc`]) counts the
+//! non-test source lines per crate with the same file walk and test
+//! stripping.
 //!
 //! The pass is deliberately self-contained (no `syn`, no registry
 //! dependencies): [`lexer`] tokenizes Rust source, [`surface`] classifies
@@ -15,6 +17,7 @@ pub mod report;
 pub mod rules;
 pub mod surface;
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -59,6 +62,23 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         .allows
         .sort_by(|a, b| (&a.file, a.allow.line).cmp(&(&b.file, b.allow.line)));
     Ok(report)
+}
+
+/// Non-test source lines per crate under `root`: every file
+/// [`surface::loc_crate`] assigns to a crate, minus its test-gated items
+/// ([`rules::non_test_lines`]).
+pub fn count_loc(root: &Path) -> io::Result<BTreeMap<String, usize>> {
+    let mut files = Vec::new();
+    collect_rs_files(root, root, &mut files)?;
+    let mut per_crate = BTreeMap::new();
+    for rel in files {
+        let Some(name) = surface::loc_crate(&rel) else {
+            continue;
+        };
+        let source = fs::read_to_string(root.join(&rel))?;
+        *per_crate.entry(name).or_insert(0) += rules::non_test_lines(&source);
+    }
+    Ok(per_crate)
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

@@ -78,21 +78,17 @@ pub fn lint_source(source: &str, class: FileClass) -> FileFindings {
 // `#[cfg(test)]` stripping
 // ---------------------------------------------------------------------------
 
-/// Returns the token stream with every `#[cfg(test)]`- or `#[test]`-gated
-/// item removed.  Detection is exact-match on the attribute tokens, so
-/// `#[cfg(not(test))]` (production code) is kept.
-fn strip_test_code(tokens: &[Token]) -> Vec<Token> {
-    let mut out = Vec::with_capacity(tokens.len());
+/// Returns the token-index ranges of every `#[cfg(test)]`- or
+/// `#[test]`-gated item, in source order.  Detection is exact-match on the
+/// attribute tokens, so `#[cfg(not(test))]` (production code) is kept.
+fn test_items(tokens: &[Token]) -> Vec<std::ops::Range<usize>> {
+    let mut items = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
         if tokens[i].text == "#" && matches(tokens, i + 1, &["["]) {
-            let attr_end = match matching_bracket(tokens, i + 1) {
-                Some(e) => e,
-                None => {
-                    out.push(tokens[i].clone());
-                    i += 1;
-                    continue;
-                }
+            let Some(attr_end) = matching_bracket(tokens, i + 1) else {
+                i += 1;
+                continue;
             };
             let attr: Vec<&str> = tokens[i..=attr_end]
                 .iter()
@@ -101,18 +97,48 @@ fn strip_test_code(tokens: &[Token]) -> Vec<Token> {
             let is_test_gate =
                 attr == ["#", "[", "cfg", "(", "test", ")", "]"] || attr == ["#", "[", "test", "]"];
             if is_test_gate {
-                i = skip_item(tokens, attr_end + 1);
-                continue;
+                let end = skip_item(tokens, attr_end + 1);
+                items.push(i..end);
+                i = end;
+            } else {
+                // Any other attribute is passed over whole.
+                i = attr_end + 1;
             }
-            // Any other attribute: copy it through verbatim.
-            out.extend_from_slice(&tokens[i..=attr_end]);
-            i = attr_end + 1;
             continue;
         }
-        out.push(tokens[i].clone());
         i += 1;
     }
+    items
+}
+
+/// Returns the token stream with every test-gated item removed.
+fn strip_test_code(tokens: &[Token]) -> Vec<Token> {
+    let mut out = Vec::with_capacity(tokens.len());
+    let mut next = 0;
+    for item in test_items(tokens) {
+        out.extend_from_slice(&tokens[next..item.start]);
+        next = item.end;
+    }
+    out.extend_from_slice(&tokens[next..]);
     out
+}
+
+/// Number of lines of `source` outside test-gated items.  An item's lines
+/// run from its gating attribute to its last token; blank and comment
+/// lines elsewhere count, as they do in a plain line count.
+pub fn non_test_lines(source: &str) -> usize {
+    let tokens = lex(source).tokens;
+    let mut test_lines = 0;
+    let mut counted_to = 0;
+    for item in test_items(&tokens) {
+        let first = tokens[item.start].line.max(counted_to + 1);
+        let last = tokens[item.end - 1].line;
+        if last >= first {
+            test_lines += last - first + 1;
+            counted_to = last;
+        }
+    }
+    source.lines().count().saturating_sub(test_lines)
 }
 
 fn matches(tokens: &[Token], at: usize, texts: &[&str]) -> bool {
@@ -557,5 +583,25 @@ mod tests {
         assert!(rules.contains(&"process_exit"));
         assert!(lint_source(src, bin).violations.is_empty());
         assert_eq!(rules_of(&lint_source("fn f() { dbg!(1); }", bin)), ["dbg"]);
+    }
+
+    #[test]
+    fn non_test_lines_drop_gated_items_from_attribute_to_last_token() {
+        let source = "\
+fn kept() {}
+// a comment counts
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn gone() {}
+}
+#[test] fn a() {} #[test] fn b() {}
+#[cfg(not(test))]
+fn also_kept() {}
+";
+        assert_eq!(source.lines().count(), 11);
+        assert_eq!(non_test_lines(source), 5);
+        assert_eq!(non_test_lines(""), 0);
     }
 }

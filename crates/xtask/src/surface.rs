@@ -62,29 +62,32 @@ pub const DECODE_SURFACE: &[&str] = &[
     "crates/report/src/",
 ];
 
+/// The crate a workspace-relative `.rs` path belongs to, and the top-level
+/// directory inside it (`src`, `tests`, `benches`, `examples`, …).  The
+/// workspace root is itself a package (the umbrella facade); vendored
+/// shims, docs and build output belong to no crate.
+fn locate(rel_str: &str) -> Option<(&str, &str)> {
+    if !rel_str.ends_with(".rs") {
+        return None;
+    }
+    let mut parts = rel_str.split('/');
+    match parts.next()? {
+        "crates" => {
+            let name = parts.next()?;
+            Some((name, parts.next()?))
+        }
+        dir @ ("src" | "examples") => Some(("trace_reduction", dir)),
+        _ => None,
+    }
+}
+
 /// Classifies a workspace-relative `.rs` path, or returns `None` when the
 /// file is out of scope (vendored shims, integration tests, benches,
 /// examples, build output).
 pub fn classify(rel: &Path) -> Option<FileClass> {
     let rel_str = rel.to_string_lossy().replace('\\', "/");
-    if rel_str.ends_with(".rs") {
-        // fall through
-    } else {
-        return None;
-    }
-    let mut parts = rel_str.split('/');
-    let first = parts.next()?;
-    let (crate_name, in_src) = match first {
-        "vendor" | "target" | "docs" | ".github" => return None,
-        "crates" => {
-            let name = parts.next()?;
-            (name, parts.next() == Some("src"))
-        }
-        // The workspace root is itself a package (the umbrella facade).
-        "src" => ("trace_reduction", true),
-        _ => return None,
-    };
-    if !in_src {
+    let (crate_name, dir) = locate(&rel_str)?;
+    if dir != "src" {
         // tests/, benches/, examples/, fixtures — out of scope.
         return None;
     }
@@ -104,6 +107,16 @@ pub fn classify(rel: &Path) -> Option<FileClass> {
         bin_crate: BIN_CRATES.contains(&crate_name),
         crate_root,
     })
+}
+
+/// The crate whose program source a workspace-relative path is, as `xtask
+/// loc` counts it: the files [`classify`] scans plus benches and examples,
+/// which are program code too.  Integration tests, fixtures and vendored
+/// shims count for no crate.
+pub fn loc_crate(rel: &Path) -> Option<String> {
+    let rel_str = rel.to_string_lossy().replace('\\', "/");
+    let (crate_name, dir) = locate(&rel_str)?;
+    matches!(dir, "src" | "benches" | "examples").then(|| crate_name.to_string())
 }
 
 #[cfg(test)]
@@ -173,6 +186,32 @@ mod tests {
         assert!(class("crates/cli/src/main.rs").unwrap().bin_crate);
         assert!(class("crates/xtask/src/main.rs").unwrap().bin_crate);
         assert!(!class("crates/eval/src/lib.rs").unwrap().bin_crate);
+    }
+
+    #[test]
+    fn loc_counts_program_sources_of_every_crate() {
+        let krate = |p: &str| loc_crate(Path::new(p));
+        assert_eq!(
+            krate("crates/container/src/reader.rs").as_deref(),
+            Some("container")
+        );
+        assert_eq!(
+            krate("crates/bench/benches/compression.rs").as_deref(),
+            Some("bench")
+        );
+        assert_eq!(
+            krate("crates/bench/examples/record_experiments.rs").as_deref(),
+            Some("bench")
+        );
+        assert_eq!(krate("src/lib.rs").as_deref(), Some("trace_reduction"));
+        assert_eq!(
+            krate("examples/quickstart.rs").as_deref(),
+            Some("trace_reduction")
+        );
+        assert_eq!(krate("crates/container/tests/record_decode.rs"), None);
+        assert_eq!(krate("crates/xtask/tests/fixtures/unwrap.rs"), None);
+        assert_eq!(krate("vendor/rand/src/lib.rs"), None);
+        assert_eq!(krate("tests/end_to_end.rs"), None);
     }
 
     #[test]
